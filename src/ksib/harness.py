@@ -211,10 +211,7 @@ def score_features_for(log: TrajectoryLog, t: int, score: str) -> np.ndarray:
     x = log.contexts[:t]
     if score == "known":
         return KnownGaussianScore.standard(log.dim).score(x)
-    model = EmpiricalWhiteningScore(log.dim)
-    for row in x:
-        model.update(row)
-    return model.score(x)
+    return EmpiricalWhiteningScore.from_batch(x).score(x)
 
 
 def inference_snapshot(log: TrajectoryLog, t: int, arm: int,

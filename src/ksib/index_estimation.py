@@ -68,23 +68,31 @@ class IndexAccumulator:
         self.pulls += 1
 
     def estimate_beta(self, lambda_beta: float = DEFAULT_LAMBDA_BETA) -> IndexEstimate:
-        if self.t < 1:
-            raise DomainError("estimate_beta requires at least one round")
-        if lambda_beta < 0:
-            raise DomainError("lambda_beta must be nonnegative")
-        gram = self.sum_gram / self.t + lambda_beta * np.eye(self.dim)
-        beta = solve_spd(gram, self.sum_moment / self.t)
-        norm = float(np.linalg.norm(beta))
-        if norm == 0.0:
-            return IndexEstimate(beta, np.zeros(self.dim), gram, lambda_beta,
-                                 self.t, degenerate=True)
-        return IndexEstimate(beta, beta / norm, gram, lambda_beta, self.t)
+        return _solve_normal_equations(self.sum_gram, self.sum_moment, self.t,
+                                       lambda_beta)
 
     def gram_diagnostic(self) -> float:
         """Smallest eigenvalue of the 1/t-scaled weighted Gram matrix."""
         if self.t < 1:
             raise DomainError("gram_diagnostic requires at least one round")
         return min_eigenvalue(self.sum_gram / self.t)
+
+
+def _solve_normal_equations(sum_gram, sum_moment, t: int,
+                            lambda_beta: float) -> IndexEstimate:
+    """Solve ``(sum_gram/t + lambda_beta I) beta = sum_moment/t``."""
+    if t < 1:
+        raise DomainError("estimate_beta requires at least one round")
+    if lambda_beta < 0:
+        raise DomainError("lambda_beta must be nonnegative")
+    dim = sum_moment.size
+    gram = sum_gram / t + lambda_beta * np.eye(dim)
+    beta = solve_spd(gram, sum_moment / t)
+    norm = float(np.linalg.norm(beta))
+    if norm == 0.0:
+        return IndexEstimate(beta, np.zeros(dim), gram, lambda_beta, t,
+                             degenerate=True)
+    return IndexEstimate(beta, beta / norm, gram, lambda_beta, t)
 
 
 def accumulate_arrays(features: np.ndarray, rewards: np.ndarray,
@@ -114,9 +122,6 @@ def estimate_from_arrays(features, rewards, pulled, propensities,
                          lambda_beta: float = DEFAULT_LAMBDA_BETA,
                          p_min: float = DEFAULT_P_MIN) -> IndexEstimate:
     """One-shot index estimate from a full history (replay path)."""
-    sum_gram, sum_moment, t, pulls = accumulate_arrays(
+    sum_gram, sum_moment, t, _ = accumulate_arrays(
         features, rewards, pulled, propensities, p_min)
-    dim = np.asarray(features).shape[1]
-    acc = IndexAccumulator(arm=-1, dim=dim)
-    acc.sum_gram, acc.sum_moment, acc.t, acc.pulls = sum_gram, sum_moment, t, pulls
-    return acc.estimate_beta(lambda_beta)
+    return _solve_normal_equations(sum_gram, sum_moment, t, lambda_beta)

@@ -9,6 +9,12 @@ condition ``(W K + ridge I) c = W y`` is solved through the symmetric
 similarity transform ``c = D (D K D + ridge I)^{-1} D y``, which keeps
 Cholesky applicable; rows with zero weight never enter the support (an
 arm's support only contains rounds where it was pulled, so w_s > 0).
+
+The fitted model keeps the Cholesky factor of ``M = D K D + ridge I`` so the
+plug-in covariance in :mod:`ksib.np_inference` studentizes with the same
+factorization instead of forming it again.  It also keeps the fitted values:
+``M z = D y`` gives ``D K D z = D y - ridge z``, hence
+``K c = y - ridge z / sqrt(w)`` with no n x n Gram product.
 """
 
 from __future__ import annotations
@@ -16,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .errors import DomainError
-from .numerics import median, solve_spd
+from .numerics import factor_spd, median
 
 DEFAULT_ZETA = 0.05
 PAIR_CAP = 200_000
@@ -78,7 +85,14 @@ def ridge_schedule(t: int, zeta: float = DEFAULT_ZETA) -> float:
 
 @dataclass
 class KrrModel:
-    """Fitted dual-form weighted kernel ridge regressor."""
+    """Fitted dual-form weighted kernel ridge regressor.
+
+    ``chol`` is the ``(c, lower)`` Cholesky pair of the factored system
+    ``D K D + (system_ridge + jitter) I`` and ``fitted`` the in-sample
+    values ``K c``.  ``jitter`` is 0.0 unless the factorization needed its
+    one jitter retry; the model (and any covariance reusing ``chol``) is
+    then the exact solution of that jittered system.
+    """
 
     support_u: np.ndarray
     support_y: np.ndarray
@@ -87,6 +101,9 @@ class KrrModel:
     lam: float            # schedule-level ridge as passed to fit()
     t_scale: int          # multiplier applied to lam in the dual system
     kernel: GaussianKernel
+    chol: tuple
+    fitted: np.ndarray
+    jitter: float = 0.0
     system_ridge: float = field(init=False)
 
     def __post_init__(self):
@@ -109,7 +126,8 @@ class KrrModel:
         return out
 
     def fitted_values(self):
-        return self.kernel.gram(self.support_u) @ self.dual_coeffs
+        """In-sample predictions ``K c``, kept from the fit."""
+        return self.fitted
 
 
 def fit(support_u, support_y, support_w, lam: float, kernel: GaussianKernel,
@@ -137,6 +155,8 @@ def fit(support_u, support_y, support_w, lam: float, kernel: GaussianKernel,
     ridge = lam * t_scale
     sqrt_w = np.sqrt(w)
     gram_w = kernel.gram(u) * np.outer(sqrt_w, sqrt_w)
-    z = solve_spd(gram_w, sqrt_w * y, ridge=ridge)
-    coeffs = sqrt_w * z
-    return KrrModel(u, y, w, coeffs, lam, t_scale, kernel)
+    chol, jitter = factor_spd(gram_w, ridge)
+    z = cho_solve(chol, sqrt_w * y, check_finite=False)
+    fitted = y - (ridge + jitter) * z / sqrt_w
+    return KrrModel(u, y, w, sqrt_w * z, lam, t_scale, kernel, chol, fitted,
+                    jitter)

@@ -7,7 +7,15 @@ Two constructions share the fitted regressor's center:
   ``A = Sigma_hat + lam I`` (the fit's own 1/n-normalized operator) the
   variance of the evaluation functional at ``x`` is estimated by
   ``sum_s w_s r_s^2 v_x[s]^2`` where ``v_x[s] = (A^{-1} k_s)(x)``, all in
-  dual coordinates.
+  dual coordinates.  With the default ``lam`` (the fit's own effective
+  ridge) ``S = (1/n) D K D + lam I`` is ``M/n`` for the fit's system
+  matrix ``M = D K D + n lam I``, so the covariance reuses the fit's
+  Cholesky factor, ``chol(S) = chol(M)/sqrt(n)``, and factors nothing.
+  The leave-one-out leverages follow from the same factor: since
+  ``(1/n) D K D S^{-1} = I - lam S^{-1}``, the smoother leverage satisfies
+  ``1 - h_s = lam [S^{-1}]_ss``, the squared norm of column s of
+  ``chol(S)^{-1}`` times ``lam`` -- one triangular inverse instead of
+  solving against the identity.
 
 * ``AS`` -- a conservative uniform-band interval whose half-width is the
   closed form ``2 sqrt(2) kappa c (2 r_tilde / eta)^theta`` driven by the
@@ -21,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dtrtri
 
 from .errors import DomainError, SingularityError
 from .kernel_ridge import KrrModel
@@ -52,6 +61,7 @@ class NpCovariance:
     _chol: tuple
     _sqrt_w: np.ndarray
     _resid: np.ndarray
+    n_leverage_clipped: int = 0
 
     def _v(self, u):
         """``v_x = W^{-1/2} S^{-1} W^{1/2} k_x`` for one point or a batch."""
@@ -88,15 +98,30 @@ class PointwiseCi:
     clamped: bool = False
 
 
+def _loo_denominators(chol, lam: float) -> np.ndarray:
+    """``1 - h_s = lam [S^{-1}]_ss`` from the factor ``S = L L^T``.
+
+    ``[S^{-1}]_ss`` is the squared norm of column s of ``L^{-1}``, i.e. of
+    row s of ``L^{-T}``, taken from one triangular inverse (about n^3/3
+    flops).  ``tril(L).T`` is Fortran-ordered, so LAPACK inverts it in place.
+    """
+    u_inv, info = dtrtri(np.tril(chol[0]).T, lower=0, overwrite_c=1)
+    if info != 0:
+        raise SingularityError("covariance factor has a zero pivot")
+    return lam * np.einsum("ij,ij->i", u_inv, u_inv)
+
+
 def build_covariance(model: KrrModel, gamma: float = DEFAULT_GAMMA,
                      lam: float | None = None,
                      residual_mode: str = "raw") -> NpCovariance:
     """Plug-in covariance of the fitted regressor in dual form.
 
     ``lam`` defaults to the model's own effective ridge so the resolvent in
-    the sandwich matches the estimator it studentizes; passing a different
-    value is allowed but decouples the two.  ``scale`` is
-    ``n^(2 gamma - 2)`` with ``n`` the support size.
+    the sandwich matches the estimator it studentizes, and the fit's
+    Cholesky factor is reused (it carries the fit's jitter, if any, so the
+    sandwich then studentizes the jittered system).  Passing a different
+    value is allowed but decouples the two and factors ``S`` afresh.
+    ``scale`` is ``n^(2 gamma - 2)`` with ``n`` the support size.
 
     ``residual_mode='loo'`` inflates each residual to its leave-one-out
     value ``r_s / (1 - h_s)`` (``h_s`` the smoother leverage).  With decaying
@@ -104,28 +129,31 @@ def build_covariance(model: KrrModel, gamma: float = DEFAULT_GAMMA,
     interpolated, which zeroes their raw residuals exactly where the fit
     leans on them; the jackknife form keeps the plug-in consistent there.
     """
-    if lam is None:
-        lam = model.effective_ridge
-    if not (lam > 0):
-        raise DomainError("lam must be positive")
     if residual_mode not in ("raw", "loo"):
         raise DomainError(f"unknown residual_mode {residual_mode!r}")
     n = model.n_support
     sqrt_w = np.sqrt(model.support_w)
-    gram_w = model.kernel.gram(model.support_u) * np.outer(sqrt_w, sqrt_w)
-    s = gram_w / n
-    s[np.diag_indices(n)] += lam
-    try:
-        chol = cho_factor(s, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError("covariance operator not PD after ridge") from exc
+    if lam is None:
+        lam = (model.system_ridge + model.jitter) / n
+        c, low = model.chol
+        chol = (c / np.sqrt(n), low)
+    else:
+        if not (lam > 0):
+            raise DomainError("lam must be positive")
+        s = model.kernel.gram(model.support_u) * np.outer(sqrt_w, sqrt_w) / n
+        s[np.diag_indices(n)] += lam
+        try:
+            chol = cho_factor(s, lower=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise SingularityError("covariance operator not PD after ridge") from exc
     resid = model.support_y - model.fitted_values()
+    clipped = 0
     if residual_mode == "loo":
-        s_inv = cho_solve(chol, np.eye(n), check_finite=False)
-        leverage = np.einsum("ij,ji->i", gram_w, s_inv) / n
-        resid = resid / np.clip(1.0 - leverage, 0.05, None)
+        one_minus_h = _loo_denominators(chol, lam)
+        clipped = int(np.count_nonzero(one_minus_h < 0.05))
+        resid = resid / np.clip(one_minus_h, 0.05, None)
     scale = float(n) ** (2.0 * gamma - 2.0)
-    return NpCovariance(model, gamma, lam, scale, chol, sqrt_w, resid)
+    return NpCovariance(model, gamma, lam, scale, chol, sqrt_w, resid, clipped)
 
 
 def pointwise_ci(model: KrrModel, cov: NpCovariance, u: float, alpha: float,

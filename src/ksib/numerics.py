@@ -72,24 +72,24 @@ def _check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def solve_spd(a, b, ridge: float = 0.0):
-    """Solve ``(A + ridge*I) x = b`` for symmetric positive definite ``A``.
+def factor_spd(a, ridge: float = 0.0):
+    """Cholesky factor of ``A + ridge*I`` for symmetric positive definite ``A``.
 
-    ``b`` may be a vector or a matrix of stacked right-hand sides.  Uses
-    Cholesky with one automatic jitter retry (``1e-10 * trace/dim`` added
-    once) before raising :class:`SingularityError`; adaptive Gram matrices
-    are occasionally near-singular early in a run and the jitter absorbs
-    exactly those cases.
+    Returns ``(factor, jitter)``: ``factor`` is the ``(c, lower)`` pair that
+    :func:`scipy.linalg.cho_solve` takes, and ``jitter`` is the extra
+    diagonal the factored matrix carries (0.0 unless the retry fired).  One
+    automatic jitter retry (``1e-10 * trace/dim`` added once) precedes
+    :class:`SingularityError`; adaptive Gram matrices are occasionally
+    near-singular early in a run and the jitter absorbs exactly those cases.
     """
     a = _check_symmetric(a, "A")
-    b = np.asarray(b, dtype=float)
     if ridge < 0:
         raise DomainError("ridge must be nonnegative")
     m = a if ridge == 0.0 else a + ridge * np.eye(a.shape[0])
+    jitter = 0.0
     for attempt in range(2):
         try:
-            c, low = cho_factor(m, lower=True, check_finite=False)
-            return cho_solve((c, low), b, check_finite=False)
+            return cho_factor(m, lower=True, check_finite=False), jitter
         except np.linalg.LinAlgError:
             if attempt == 0:
                 jitter = 1e-10 * np.trace(m) / m.shape[0]
@@ -98,6 +98,15 @@ def solve_spd(a, b, ridge: float = 0.0):
                 m = m + jitter * np.eye(m.shape[0])
     pivot = float(np.linalg.eigvalsh(m)[0])
     raise SingularityError("matrix not positive definite after ridge and jitter", pivot)
+
+
+def solve_spd(a, b, ridge: float = 0.0):
+    """Solve ``(A + ridge*I) x = b`` through :func:`factor_spd`.
+
+    ``b`` may be a vector or a matrix of stacked right-hand sides.
+    """
+    factor, _ = factor_spd(a, ridge)
+    return cho_solve(factor, np.asarray(b, dtype=float), check_finite=False)
 
 
 def min_eigenvalue(a) -> float:

@@ -145,6 +145,8 @@ class EpsilonGreedyPolicy:
         lam = ridge_schedule(max(t_sched, 1), self.config.zeta)
         w = 1.0 / np.maximum(np.asarray(state.props), self.config.p_min)
         scale = "none" if self.config.krr_ridge_mode == "plain" else "support"
+        # release the stale model's n x n factor before the new fit allocates
+        state.model = None
         state.model = fit(u, np.asarray(state.ys), w, lam,
                           GaussianKernel(state.bandwidth), lam_scale=scale)
 

@@ -45,9 +45,11 @@ class EmpiricalWhiteningScore:
     """Streaming mean/covariance whitening: ``w = (Cov + ridge*I)^{-1}(x - mean)``.
 
     Mean and covariance are maintained with Welford updates, so a long
-    stream never loses precision to catastrophic cancellation.  ``ridge``
-    defaults to ``1e-8 * trace(Cov)/dim`` at score time, which keeps the
-    solve well-posed when the dimension approaches the early sample count.
+    stream never loses precision to catastrophic cancellation;
+    :meth:`from_batch` builds the same state from a whole history at once.
+    ``ridge`` defaults to ``1e-8 * trace(Cov)/dim`` at score time, which
+    keeps the solve well-posed when the dimension approaches the early
+    sample count.
     """
 
     def __init__(self, dim: int, ridge: float | None = None):
@@ -60,6 +62,20 @@ class EmpiricalWhiteningScore:
         self.count = 0
         self.mean = np.zeros(dim)
         self._m2 = np.zeros((dim, dim))
+
+    @classmethod
+    def from_batch(cls, xs) -> "EmpiricalWhiteningScore":
+        """The state that ``update`` over each row of ``xs`` reaches, built
+        from the batch count, mean and centered cross-product at once."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2:
+            raise DomainError(f"expected a 2-d batch of contexts, got shape {xs.shape}")
+        model = cls(xs.shape[1])
+        model.count = xs.shape[0]
+        model.mean = xs.mean(axis=0)
+        centered = xs - model.mean
+        model._m2 = centered.T @ centered
+        return model
 
     def update(self, x) -> None:
         x = np.asarray(x, dtype=float)

@@ -19,6 +19,9 @@ so the gap is intrinsic to the estimator/schedule pair, not to this
 implementation: the machinery reaches nominal coverage as soon as
 propensities are moderate (see TestParametricMachinerySanity below and
 tests/test_np_inference.py::TestPointwiseCi::test_iid_coverage_near_nominal).
+
+Every test here carries the ``slow`` marker: ``pytest -m "not slow"`` runs
+the rest of the suite as a fast inner loop.
 """
 
 import hashlib
@@ -38,6 +41,8 @@ from ksib.harness import (Scenario, aggregate, calibrated_band_ratio, export,
 from ksib.index_estimation import IndexAccumulator, estimate_from_arrays
 from ksib.kernel_ridge import GaussianKernel, fit
 from ksib.numerics import Rng, chi2_quantile, min_eigenvalue, normal_quantile
+
+pytestmark = pytest.mark.slow
 
 EASY = Scenario(d=2, sigma=0.05, reps=100, seed=0)
 HARD = Scenario(d=5, sigma=0.20, reps=100, seed=0)

@@ -134,6 +134,23 @@ class TestVectorizedEquivalence:
         np.testing.assert_allclose(moment, acc.sum_moment, rtol=1e-12)
         assert (tt, pulls) == (acc.t, acc.pulls)
 
+    def test_estimate_from_arrays_matches_accumulator_solve(self):
+        rng = np.random.default_rng(6)
+        feats = rng.normal(size=(80, 3))
+        ys = rng.normal(size=80)
+        pulled = rng.random(80) < 0.5
+        props = rng.uniform(0.05, 1.0, size=80)
+        acc = IndexAccumulator(0, 3)
+        acc.sum_gram, acc.sum_moment, acc.t, acc.pulls = accumulate_arrays(
+            feats, ys, pulled, props)
+        expected = acc.estimate_beta(0.01)
+        got = estimate_from_arrays(feats, ys, pulled, props, 0.01)
+        for field in ("beta_hat", "direction", "gram"):
+            np.testing.assert_array_equal(getattr(got, field),
+                                          getattr(expected, field))
+        assert (got.t, got.lambda_beta, got.degenerate) == \
+            (expected.t, expected.lambda_beta, expected.degenerate)
+
 
 class TestRecovery:
     def test_ipw_moment_unbiased(self):

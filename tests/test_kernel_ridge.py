@@ -141,6 +141,40 @@ class TestFit:
         assert scaled.system_ridge == pytest.approx(plain.system_ridge)
 
 
+class TestFitCache:
+    @pytest.mark.parametrize("lam_scale", ["support", "none"])
+    def test_fitted_values_match_gram_product(self, lam_scale):
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            n = int(rng.integers(1, 40))
+            k = GaussianKernel(float(rng.uniform(0.3, 2.0)))
+            u = rng.normal(size=n)
+            m = fit(u, rng.normal(size=n), rng.uniform(1.0, 50.0, size=n),
+                    float(rng.uniform(1e-3, 1.0)), k, lam_scale)
+            np.testing.assert_allclose(m.fitted_values(),
+                                       k.gram(u) @ m.dual_coeffs, rtol=0,
+                                       atol=1e-10)
+
+    def test_factor_is_of_the_system_matrix(self):
+        rng = np.random.default_rng(8)
+        u, w = rng.normal(size=6), rng.uniform(1, 4, size=6)
+        k = GaussianKernel(1.0)
+        m = fit(u, rng.normal(size=6), w, 0.2, k)
+        l = np.tril(m.chol[0])
+        system = k.gram(u) * np.outer(np.sqrt(w), np.sqrt(w)) + \
+            m.system_ridge * np.eye(6)
+        np.testing.assert_allclose(l @ l.T, system, atol=1e-12)
+        assert m.jitter == 0.0
+
+    def test_jitter_retry_recorded(self):
+        # duplicate points with a negligible ridge: D K D + ridge I is
+        # singular in floating point and only the jitter retry factors it
+        m = fit([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 1e-300, GaussianKernel(1.0),
+                lam_scale="none")
+        assert m.jitter == pytest.approx(1e-10)
+        np.testing.assert_allclose(m.fitted_values(), [1.0, 1.0], atol=1e-9)
+
+
 class TestPredict:
     def test_far_field_decays(self):
         m = fit([0.0, 1.0], [1.0, 1.0], [1.0, 1.0], 0.1, GaussianKernel(1.0))

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import ksib.np_inference as np_inference
 from ksib.errors import DomainError
 from ksib.kernel_ridge import GaussianKernel, fit
-from ksib.np_inference import (METHOD_BAND, METHOD_CLT, as_band_ci,
-                               build_covariance, calibrate_band_constant,
+from ksib.np_inference import (METHOD_BAND, METHOD_CLT, _loo_denominators,
+                               as_band_ci, build_covariance,
+                               calibrate_band_constant,
                                exploration_coefficient, pointwise_ci)
 from ksib.numerics import min_eigenvalue, normal_quantile
 
@@ -71,6 +73,77 @@ class TestBuildCovariance:
         batch = cov.d2(us)
         for i, u in enumerate(us):
             assert batch[i] == pytest.approx(cov.d2(float(u)), rel=1e-12)
+
+
+def explicit_leverage(model, lam):
+    """Smoother leverage by the explicit inverse ``diag(D K D S^{-1})/n``."""
+    n = model.n_support
+    sqrt_w = np.sqrt(model.support_w)
+    gram_w = model.kernel.gram(model.support_u) * np.outer(sqrt_w, sqrt_w)
+    s_inv = np.linalg.inv(gram_w / n + lam * np.eye(n))
+    return np.einsum("ij,ji->i", gram_w, s_inv) / n
+
+
+class TestSharedFactor:
+    @pytest.mark.parametrize("lam_scale", ["support", "none"])
+    def test_loo_leverage_matches_explicit_inverse(self, lam_scale):
+        rng = np.random.default_rng(10)
+        for _ in range(30):
+            n = int(rng.integers(1, 40))
+            m = fit(rng.normal(size=n), rng.normal(size=n),
+                    rng.uniform(1.0, 50.0, size=n),
+                    float(rng.uniform(1e-3, 0.5)),
+                    GaussianKernel(float(rng.uniform(0.3, 2.0))), lam_scale)
+            for lam in (None, 0.07):
+                cov = build_covariance(m, 0.5, lam=lam, residual_mode="loo")
+                h = 1.0 - _loo_denominators(cov._chol, cov.lam)
+                np.testing.assert_allclose(h, explicit_leverage(m, cov.lam),
+                                           rtol=0, atol=1e-10)
+
+    def test_default_lam_factors_nothing(self, monkeypatch):
+        def no_factor(*args, **kwargs):
+            raise AssertionError("cho_factor called")
+
+        rng = np.random.default_rng(11)
+        m = fitted_model(rng, n=30, lam=0.05)
+        monkeypatch.setattr(np_inference, "cho_factor", no_factor)
+        for mode in ("raw", "loo"):
+            build_covariance(m, 0.5, residual_mode=mode)
+        with pytest.raises(AssertionError):
+            build_covariance(m, 0.5, lam=0.1)
+
+    def test_reused_factor_matches_fresh_factorization(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            m = fitted_model(rng, n=25, lam=0.02)
+            shared = build_covariance(m, 0.5, residual_mode="loo")
+            fresh = build_covariance(m, 0.5, lam=m.effective_ridge,
+                                     residual_mode="loo")
+            assert shared.lam == fresh.lam
+            np.testing.assert_allclose(shared._resid, fresh._resid, rtol=1e-10)
+            us = rng.normal(size=5)
+            np.testing.assert_allclose(shared.d2(us), fresh.d2(us), rtol=1e-9)
+
+    def test_jittered_fit_studentizes_jittered_system(self):
+        m = fit([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 1e-300, GaussianKernel(1.0),
+                lam_scale="none")
+        cov = build_covariance(m, 0.5)
+        assert m.jitter > 0.0
+        assert cov.lam == pytest.approx((m.system_ridge + m.jitter) / 2)
+
+
+class TestLeverageClipCount:
+    def test_counts_clipped_denominators(self):
+        rng = np.random.default_rng(13)
+        u = np.linspace(-2.0, 2.0, 15)
+        for lam, expect_some in ((1e-6, True), (5.0, False)):
+            m = fit(u, rng.normal(size=15), np.ones(15), lam,
+                    GaussianKernel(0.3), lam_scale="none")
+            cov = build_covariance(m, 0.5, residual_mode="loo")
+            expected = int(np.sum(1.0 - explicit_leverage(m, cov.lam) < 0.05))
+            assert cov.n_leverage_clipped == expected
+            assert (expected > 0) == expect_some
+            assert build_covariance(m, 0.5).n_leverage_clipped == 0
 
 
 class TestPointwiseCi:

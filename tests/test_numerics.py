@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 from scipy.special import gammainc
 
 from ksib.errors import DomainError, SingularityError
-from ksib.numerics import (Rng, chi2_quantile, median, min_eigenvalue,
-                           normal_quantile, solve_spd)
+from ksib.numerics import (Rng, chi2_quantile, factor_spd, median,
+                           min_eigenvalue, normal_quantile, solve_spd)
 
 
 def phi_series(x):
@@ -145,6 +146,25 @@ class TestSolveSpd:
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
         x = solve_spd(a, np.array([1.0, 0.0]))
         assert np.isfinite(x).all()
+
+
+class TestFactorSpd:
+    def test_factor_solves_like_solve_spd(self):
+        rng = np.random.default_rng(2)
+        g = rng.normal(size=(6, 6))
+        a = g @ g.T
+        b = rng.normal(size=6)
+        factor, jitter = factor_spd(a, ridge=0.3)
+        assert jitter == 0.0
+        np.testing.assert_array_equal(
+            cho_solve(factor, b, check_finite=False), solve_spd(a, b, ridge=0.3))
+
+    def test_reports_jitter_retry(self):
+        factor, jitter = factor_spd(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        assert jitter == pytest.approx(1e-10)
+        l = np.tril(factor[0])
+        np.testing.assert_allclose(l @ l.T, [[1.0 + jitter, 1.0],
+                                             [1.0, 1.0 + jitter]], atol=1e-15)
 
 
 class TestMinEigenvalue:

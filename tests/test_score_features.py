@@ -84,6 +84,28 @@ class TestEmpiricalWhitening:
             np.testing.assert_allclose(model.covariance,
                                        np.cov(xs.T).reshape(d, d), atol=1e-12)
 
+    def test_from_batch_matches_update_loop(self):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            n = int(rng.integers(2, 300))
+            d = int(rng.integers(1, 6))
+            xs = rng.normal(loc=rng.normal(size=d), size=(n, d))
+            streamed = EmpiricalWhiteningScore(d)
+            for x in xs:
+                streamed.update(x)
+            batch = EmpiricalWhiteningScore.from_batch(xs)
+            assert batch.count == streamed.count
+            np.testing.assert_allclose(batch.mean, streamed.mean, rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(batch.covariance, streamed.covariance,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batch.score(xs), streamed.score(xs),
+                                       rtol=0, atol=1e-10)
+
+    def test_from_batch_rejects_bad_shape(self):
+        with pytest.raises(DomainError):
+            EmpiricalWhiteningScore.from_batch(np.zeros(3))
+
     def test_rejects_bad_shape(self):
         model = EmpiricalWhiteningScore(2)
         with pytest.raises(DomainError):
