@@ -87,6 +87,12 @@ class Scenario:
             raise ConfigError("inference_times must be strictly increasing")
         if not (0 < self.level < 1):
             raise ConfigError("level must be in (0,1)")
+        if self.n_arms < 2:
+            raise ConfigError("n_arms must be >= 2")
+        if not (0 < self.p_min <= 1):
+            raise ConfigError("p_min must be in (0,1]")
+        if not (0 < self.eps_floor <= self.eps_cap < 1):
+            raise ConfigError("need 0 < eps_floor <= eps_cap < 1")
         if self.score not in ("known", "empirical"):
             raise ConfigError("score must be 'known' or 'empirical'")
         if self.krr_ridge_mode not in ("plain", "support-scaled"):

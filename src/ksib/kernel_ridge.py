@@ -10,11 +10,23 @@ similarity transform ``c = D (D K D + ridge I)^{-1} D y``, which keeps
 Cholesky applicable; rows with zero weight never enter the support (an
 arm's support only contains rounds where it was pulled, so w_s > 0).
 
-The fitted model keeps the Cholesky factor of ``M = D K D + ridge I`` so the
-plug-in covariance in :mod:`ksib.np_inference` studentizes with the same
-factorization instead of forming it again.  It also keeps the fitted values:
-``M z = D y`` gives ``D K D z = D y - ridge z``, hence
-``K c = y - ridge z / sqrt(w)`` with no n x n Gram product.
+Two solvers share this system:
+
+* :func:`fit` serves inference.  It factors the dense ``M = D K D + ridge I``
+  and keeps the factor on the :class:`KrrModel`, so the plug-in covariance
+  in :mod:`ksib.np_inference` studentizes with the same factorization
+  instead of forming it again.  It also keeps the fitted values: ``M z =
+  D y`` gives ``D K D z = D y - ridge z``, hence ``K c = y - ridge z /
+  sqrt(w)`` with no n x n Gram product.  A snapshot runs it once, so its
+  O(n^3) cost is paid once per (t, arm).
+* :func:`fit_pivoted` serves decisions.  The policy refits every arm's link
+  whenever the arm is pulled (every round up to 200 pulls, then every 10),
+  and the index direction moves every round, so no factor carries over
+  between refits.  A pivoted Cholesky of ``D K D`` of small rank r (the
+  1-D Gaussian kernel matrix has a fast-decaying spectrum) plus a Woodbury
+  solve costs O(n r^2), with a stopping rule that bounds the prediction
+  error against :func:`fit`.  Its :class:`LinkPredictor` keeps only what
+  prediction needs, so it cannot be passed to the covariance.
 """
 
 from __future__ import annotations
@@ -22,10 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DomainError
-from .numerics import factor_spd, median
+from .numerics import _factor_symmetric, median
 
 DEFAULT_ZETA = 0.05
 PAIR_CAP = 200_000
@@ -44,11 +56,21 @@ class GaussianKernel:
     def __call__(self, u, v):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        diff = np.subtract.outer(u, v) if (u.ndim and v.ndim) else u - v
-        return np.exp(-0.5 * (diff / self.bandwidth) ** 2)
+        diff = np.subtract.outer(u, v) if (u.ndim and v.ndim) else np.asarray(u - v)
+        # exp(-0.5 * (diff / bandwidth) ** 2), evaluated inside one buffer
+        np.divide(diff, self.bandwidth, out=diff)
+        np.square(diff, out=diff)
+        np.multiply(-0.5, diff, out=diff)
+        return np.exp(diff, out=diff)[()]   # [()]: a 0-d result as a scalar
 
     def gram(self, u):
         return self(u, u)
+
+
+def weighted_gram(kernel, u, sqrt_w):
+    """``D K D`` with ``D = diag(sqrt_w)``, built in two n x n buffers."""
+    gram = kernel.gram(u)
+    return np.multiply(gram, np.outer(sqrt_w, sqrt_w), out=gram)
 
 
 def median_bandwidth(us, cap: int = PAIR_CAP) -> float:
@@ -81,6 +103,12 @@ def ridge_schedule(t: int, zeta: float = DEFAULT_ZETA) -> float:
     if t < 1:
         raise DomainError("ridge_schedule requires t >= 1")
     return float(t) ** (-zeta)
+
+
+def _evaluate(kernel, support_u, dual_coeffs, u):
+    """``sum_s k(u_s, u) c_s`` at one point or an array of points."""
+    k = kernel(support_u, np.asarray(u, dtype=float))
+    return k.T @ dual_coeffs if k.ndim == 2 else float(k @ dual_coeffs)
 
 
 @dataclass
@@ -120,24 +148,34 @@ class KrrModel:
 
     def predict(self, u):
         """Evaluate ``sum_s k(u_s, u) c_s`` at one point or an array."""
-        u_arr = np.asarray(u, dtype=float)
-        k = self.kernel(self.support_u, u_arr)
-        out = k.T @ self.dual_coeffs if k.ndim == 2 else float(k @ self.dual_coeffs)
-        return out
+        return _evaluate(self.kernel, self.support_u, self.dual_coeffs, u)
 
     def fitted_values(self):
         """In-sample predictions ``K c``, kept from the fit."""
         return self.fitted
 
 
-def fit(support_u, support_y, support_w, lam: float, kernel: GaussianKernel,
-        lam_scale: str = "support") -> KrrModel:
-    """Fit the weighted dual system.
+@dataclass(frozen=True)
+class LinkPredictor:
+    """The link estimate the policy decides with, from :func:`fit_pivoted`.
 
-    ``lam_scale='support'`` multiplies ``lam`` by the support size (the
-    ``n * lam`` product of the 1/n-normalized formulation);
-    ``lam_scale='none'`` uses ``lam`` as the raw system ridge.
+    It carries only what prediction needs and no n x n array, so it cannot
+    stand in for a :class:`KrrModel` in the plug-in covariance.  ``rank`` is
+    the number of pivoted-Cholesky columns the solve used.
     """
+
+    support_u: np.ndarray
+    dual_coeffs: np.ndarray
+    kernel: GaussianKernel
+    rank: int
+
+    def predict(self, u):
+        """Evaluate ``sum_s k(u_s, u) c_s`` at one point or an array."""
+        return _evaluate(self.kernel, self.support_u, self.dual_coeffs, u)
+
+
+def _support_system(support_u, support_y, support_w, lam, lam_scale):
+    """Validated support arrays and the system ridge ``lam * t_scale``."""
     u = np.asarray(support_u, dtype=float).ravel()
     y = np.asarray(support_y, dtype=float).ravel()
     w = np.asarray(support_w, dtype=float).ravel()
@@ -152,11 +190,82 @@ def fit(support_u, support_y, support_w, lam: float, kernel: GaussianKernel,
     if lam_scale not in ("support", "none"):
         raise DomainError(f"unknown lam_scale {lam_scale!r}")
     t_scale = u.size if lam_scale == "support" else 1
+    return u, y, w, t_scale
+
+
+def fit(support_u, support_y, support_w, lam: float, kernel: GaussianKernel,
+        lam_scale: str = "support") -> KrrModel:
+    """Fit the weighted dual system.
+
+    ``lam_scale='support'`` multiplies ``lam`` by the support size (the
+    ``n * lam`` product of the 1/n-normalized formulation);
+    ``lam_scale='none'`` uses ``lam`` as the raw system ridge.
+    """
+    u, y, w, t_scale = _support_system(support_u, support_y, support_w, lam,
+                                       lam_scale)
     ridge = lam * t_scale
     sqrt_w = np.sqrt(w)
-    gram_w = kernel.gram(u) * np.outer(sqrt_w, sqrt_w)
-    chol, jitter = factor_spd(gram_w, ridge)
+    system = weighted_gram(kernel, u, sqrt_w)
+    system[np.diag_indices(u.size)] += ridge
+    chol, jitter = _factor_symmetric(system)
     z = cho_solve(chol, sqrt_w * y, check_finite=False)
     fitted = y - (ridge + jitter) * z / sqrt_w
     return KrrModel(u, y, w, sqrt_w * z, lam, t_scale, kernel, chol, fitted,
                     jitter)
+
+
+# |f_exact(v) - f_pivoted(v)| <= PREDICTION_TOL at every v (see fit_pivoted)
+PREDICTION_TOL = 1e-10
+
+
+def fit_pivoted(support_u, support_y, support_w, lam: float,
+                kernel: GaussianKernel,
+                lam_scale: str = "support") -> LinkPredictor:
+    """Solve the system of :func:`fit` through a pivoted Cholesky factor.
+
+    ``A = D K D`` is factored greedily as ``L L^T``: each step pivots on the
+    largest entry of the residual diagonal ``diag(A - L L^T)`` (which
+    starts at ``w``, because ``k(u, u) = 1``) and takes its column from the
+    kernel.  The factor stops growing once the residual trace ``tau`` is at
+    most ``PREDICTION_TOL * ridge^2 / (sqrt(sum w) * |D y|)``, and
+    ``(ridge I + L L^T) z = D y`` is then solved through Woodbury with an
+    r x r Cholesky of ``ridge I + L^T L``.  The residual is positive
+    semidefinite with norm at most ``tau``, so ``|z - z_exact| <= tau |D y| /
+    ridge^2`` and every prediction ``k_v^T D z`` is within ``PREDICTION_TOL``
+    of the exact fit's.  That bound is for exact arithmetic; the factor's
+    own round-off, of order machine epsilon times ``r sum(w)``, comes on
+    top.  The cost is O(n r^2); the 1-D Gaussian kernel matrix has a
+    fast-decaying spectrum, so r stays far below n, and at r = n the factor
+    is exact.
+    """
+    u, y, w, t_scale = _support_system(support_u, support_y, support_w, lam,
+                                       lam_scale)
+    ridge = lam * t_scale
+    n = u.size
+    sqrt_w = np.sqrt(w)
+    rhs = sqrt_w * y
+    scale = float(np.sqrt(w.sum()) * np.linalg.norm(rhs))
+    tol = PREDICTION_TOL * ridge * ridge / scale if scale > 0 else np.inf
+    resid = w.copy()
+    lt = np.empty((min(n, 32), n))   # L^T: row j is column j of L
+    rank = 0
+    while rank < n and resid.sum() > tol:
+        if rank == lt.shape[0]:
+            lt = np.concatenate([lt, np.empty((min(n, 2 * rank) - rank, n))])
+        i = int(np.argmax(resid))
+        col = kernel(u, u[i])
+        col *= sqrt_w * sqrt_w[i]
+        col -= lt[:rank].T @ lt[:rank, i]
+        col /= np.sqrt(resid[i])
+        lt[rank] = col
+        resid -= col * col
+        np.maximum(resid, 0.0, out=resid)
+        resid[i] = 0.0
+        rank += 1
+    lt = lt[:rank]
+    inner = lt @ lt.T
+    inner[np.diag_indices(rank)] += ridge
+    coef = cho_solve(cho_factor(inner, lower=True, check_finite=False),
+                     lt @ rhs, check_finite=False)
+    z = (rhs - lt.T @ coef) / ridge
+    return LinkPredictor(u, sqrt_w * z, kernel, rank)

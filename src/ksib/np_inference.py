@@ -32,7 +32,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dtrtri
 
 from .errors import DomainError, SingularityError
-from .kernel_ridge import KrrModel
+from .kernel_ridge import KrrModel, weighted_gram
 from .numerics import normal_quantile
 
 DEFAULT_GAMMA = 0.5
@@ -129,6 +129,9 @@ def build_covariance(model: KrrModel, gamma: float = DEFAULT_GAMMA,
     interpolated, which zeroes their raw residuals exactly where the fit
     leans on them; the jackknife form keeps the plug-in consistent there.
     """
+    if not isinstance(model, KrrModel):
+        raise TypeError("build_covariance needs a KrrModel from kernel_ridge.fit, "
+                        f"got {type(model).__name__}")
     if residual_mode not in ("raw", "loo"):
         raise DomainError(f"unknown residual_mode {residual_mode!r}")
     n = model.n_support
@@ -140,7 +143,8 @@ def build_covariance(model: KrrModel, gamma: float = DEFAULT_GAMMA,
     else:
         if not (lam > 0):
             raise DomainError("lam must be positive")
-        s = model.kernel.gram(model.support_u) * np.outer(sqrt_w, sqrt_w) / n
+        s = weighted_gram(model.kernel, model.support_u, sqrt_w)
+        s /= n
         s[np.diag_indices(n)] += lam
         try:
             chol = cho_factor(s, lower=True, check_finite=False)

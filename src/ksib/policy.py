@@ -17,8 +17,8 @@ import numpy as np
 from .errors import StateError
 from .index_estimation import (DEFAULT_LAMBDA_BETA, DEFAULT_P_MIN,
                                IndexAccumulator, IndexEstimate)
-from .kernel_ridge import (DEFAULT_ZETA, GaussianKernel, KrrModel, fit,
-                           median_bandwidth, ridge_schedule)
+from .kernel_ridge import (DEFAULT_ZETA, GaussianKernel, LinkPredictor,
+                           fit_pivoted, median_bandwidth, ridge_schedule)
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class ArmState:
     ys: list = field(default_factory=list)
     props: list = field(default_factory=list)
     estimate: IndexEstimate | None = None
-    model: KrrModel | None = None
+    model: LinkPredictor | None = None
     bandwidth: float | None = None
     bandwidth_n: int = 0
 
@@ -145,10 +145,9 @@ class EpsilonGreedyPolicy:
         lam = ridge_schedule(max(t_sched, 1), self.config.zeta)
         w = 1.0 / np.maximum(np.asarray(state.props), self.config.p_min)
         scale = "none" if self.config.krr_ridge_mode == "plain" else "support"
-        # release the stale model's n x n factor before the new fit allocates
-        state.model = None
-        state.model = fit(u, np.asarray(state.ys), w, lam,
-                          GaussianKernel(state.bandwidth), lam_scale=scale)
+        state.model = fit_pivoted(u, np.asarray(state.ys), w, lam,
+                                  GaussianKernel(state.bandwidth),
+                                  lam_scale=scale)
 
     def step(self, x, reward_fn) -> RoundRecord:
         """Advance one round: select, observe the pulled arm's reward, update."""

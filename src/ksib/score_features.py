@@ -9,9 +9,10 @@ streaming empirical whitening for data whose distribution is unknown.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .errors import DomainError, SingularityError, StateError
-from .numerics import min_eigenvalue, solve_spd
+from .numerics import factor_spd, min_eigenvalue, solve_spd
 
 
 class KnownGaussianScore:
@@ -23,8 +24,8 @@ class KnownGaussianScore:
         if cov.shape != (self.mean.size, self.mean.size):
             raise DomainError("covariance shape does not match mean")
         self.covariance = cov
-        # fail fast on a non-PD covariance
-        solve_spd(cov, np.zeros(self.mean.size))
+        # factored once; fails fast on a non-PD covariance
+        self._factor, _ = factor_spd(cov)
 
     @property
     def dim(self) -> int:
@@ -33,7 +34,7 @@ class KnownGaussianScore:
     def score(self, x):
         x = np.asarray(x, dtype=float)
         centered = x - self.mean
-        return solve_spd(self.covariance, centered.T).T
+        return cho_solve(self._factor, centered.T, check_finite=False).T
 
     @classmethod
     def standard(cls, dim: int) -> "KnownGaussianScore":

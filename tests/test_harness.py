@@ -34,6 +34,20 @@ class TestScenario:
         with pytest.raises(ConfigError):
             Scenario(score="bogus").validate()
 
+    @pytest.mark.parametrize("floor,cap", [(0.4, 0.35), (0.0, 0.35), (0.005, 1.0)])
+    def test_validation_rejects_bad_epsilon(self, floor, cap):
+        with pytest.raises(ConfigError, match="eps_floor"):
+            Scenario(eps_floor=floor, eps_cap=cap).validate()
+
+    def test_validation_rejects_single_arm(self):
+        with pytest.raises(ConfigError, match="n_arms"):
+            Scenario(n_arms=1).validate()
+
+    @pytest.mark.parametrize("p_min", [0.0, -0.1, 1.5])
+    def test_validation_rejects_bad_p_min(self, p_min):
+        with pytest.raises(ConfigError, match="p_min"):
+            Scenario(p_min=p_min).validate()
+
     def test_scenario_betas_shared_across_reps(self):
         sc = Scenario(**TINY)
         np.testing.assert_array_equal(sc.scenario_betas(), sc.scenario_betas())

@@ -1,11 +1,17 @@
 """Weighted kernel ridge regression in dual form, against primal oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_factor
 
 from ksib.errors import DomainError
-from ksib.kernel_ridge import (GaussianKernel, fit, median_bandwidth,
-                               ridge_schedule)
+from ksib.kernel_ridge import (GaussianKernel, LinkPredictor, fit, fit_pivoted,
+                               median_bandwidth, ridge_schedule,
+                               weighted_gram)
 
 
 class LinearFeatureKernel:
@@ -200,3 +206,129 @@ class TestPredict:
         batch = m.predict(us)
         for i, u in enumerate(us):
             assert batch[i] == pytest.approx(m.predict(float(u)), abs=1e-14)
+
+
+def old_weighted_gram(u, bandwidth, w):
+    """The expression ``fit`` used before it built the matrix in place."""
+    diff = np.subtract.outer(u, u)
+    sqrt_w = np.sqrt(w)
+    return np.exp(-0.5 * (diff / bandwidth) ** 2) * np.outer(sqrt_w, sqrt_w)
+
+
+class TestSystemMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_weighted_gram_bit_identical_to_old_expression(self, n):
+        rng = np.random.default_rng(n)
+        u = 3.0 * rng.normal(size=n)
+        w = 1.0 / rng.uniform(1e-3, 1.0, size=n)
+        k = GaussianKernel(0.37)
+        assert np.array_equal(weighted_gram(k, u, np.sqrt(w)),
+                              old_weighted_gram(u, 0.37, w))
+
+    def test_kernel_bit_identical_to_old_formula(self):
+        rng = np.random.default_rng(1)
+        u, v = rng.normal(size=9), rng.normal(size=4)
+        k = GaussianKernel(0.8)
+        old = np.exp(-0.5 * (np.subtract.outer(u, v) / 0.8) ** 2)
+        assert np.array_equal(k(u, v), old)
+        assert np.array_equal(k(u, v[0]), np.exp(-0.5 * ((u - v[0]) / 0.8) ** 2))
+        scalar = k(0.3, -0.2)
+        assert isinstance(scalar, np.float64)
+        assert scalar == np.exp(-0.5 * ((0.3 - -0.2) / 0.8) ** 2)
+
+    def test_fit_factors_the_old_system_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        n = 60
+        u, w = rng.normal(size=n), 1.0 / rng.uniform(0.01, 1.0, size=n)
+        m = fit(u, rng.normal(size=n), w, 0.3, GaussianKernel(0.5),
+                lam_scale="support")
+        old = cho_factor(old_weighted_gram(u, 0.5, w) + m.system_ridge * np.eye(n),
+                         lower=True, check_finite=False)
+        assert np.array_equal(np.tril(m.chol[0]), np.tril(old[0]))
+
+
+@st.composite
+def supports(draw):
+    """Supports like the policy's: weights up to 1/p_min, duplicates and
+    heavy-tailed projections included."""
+    n = draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 2**32 - 1))
+    shape = draw(st.sampled_from(["normal", "duplicates", "heavy"]))
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=n)
+    if shape == "duplicates":
+        u = rng.choice(u[: max(1, n // 3)], size=n)
+    elif shape == "heavy":
+        u = rng.standard_cauchy(size=n) * 50.0
+    props = np.where(rng.uniform(size=n) < 0.3, 1e-3,
+                     rng.uniform(1e-3, 1.0, size=n))
+    w = 1.0 / np.maximum(props, 1e-3)
+    y = np.sin(2.0 * u) + 0.2 * rng.normal(size=n)
+    bandwidth = draw(st.floats(0.05, 2.0))
+    return u, y, w, bandwidth
+
+
+class TestFitPivoted:
+    # lam covers the default ridge schedule t^-0.05 up to t = 3e10
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(supports(), st.sampled_from(["none", "support"]),
+           st.floats(0.3, 1.0))
+    def test_predictions_match_exact_fit(self, support, lam_scale, lam):
+        u, y, w, bandwidth = support
+        k = GaussianKernel(bandwidth)
+        exact = fit(u, y, w, lam, k, lam_scale)
+        pivoted = fit_pivoted(u, y, w, lam, k, lam_scale)
+        assert exact.jitter == 0.0
+        grid = np.concatenate([np.linspace(-4.0, 4.0, 161), u])
+        np.testing.assert_allclose(pivoted.predict(grid), exact.predict(grid),
+                                   rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_supports(self, n):
+        u = np.arange(n, dtype=float) * 0.4
+        y = np.linspace(-1.0, 1.0, n)
+        w = np.full(n, 1e3)
+        for lam_scale in ("none", "support"):
+            exact = fit(u, y, w, 0.7, GaussianKernel(0.5), lam_scale)
+            pivoted = fit_pivoted(u, y, w, 0.7, GaussianKernel(0.5), lam_scale)
+            assert pivoted.predict(0.1) == pytest.approx(exact.predict(0.1),
+                                                         abs=1e-12)
+
+    def test_far_apart_points_need_full_rank(self):
+        u = np.arange(40, dtype=float) * 100.0
+        y = np.cos(u)
+        pivoted = fit_pivoted(u, y, np.ones(40), 0.5, GaussianKernel(1.0), "none")
+        assert pivoted.rank == 40
+        exact = fit(u, y, np.ones(40), 0.5, GaussianKernel(1.0), "none")
+        np.testing.assert_allclose(pivoted.dual_coeffs, exact.dual_coeffs,
+                                   rtol=0, atol=1e-12)
+
+    def test_smooth_support_needs_small_rank(self):
+        rng = np.random.default_rng(3)
+        u = rng.normal(size=800)
+        w = 1.0 / np.where(rng.uniform(size=800) < 0.1, 0.005, 0.9)
+        k = GaussianKernel(median_bandwidth(u))
+        pivoted = fit_pivoted(u, np.sin(u), w, 0.7, k, "none")
+        assert pivoted.rank <= 40
+
+    def test_zero_rewards_give_zero_coefficients(self):
+        pivoted = fit_pivoted([0.0, 1.0], [0.0, 0.0], [1.0, 2.0], 0.5,
+                              GaussianKernel(1.0))
+        assert pivoted.rank == 0
+        assert pivoted.predict(0.5) == 0.0
+
+    def test_holds_no_square_array(self):
+        rng = np.random.default_rng(4)
+        pivoted = fit_pivoted(rng.normal(size=30), rng.normal(size=30),
+                              np.ones(30), 0.5, GaussianKernel(1.0))
+        assert isinstance(pivoted, LinkPredictor)
+        for f in dataclasses.fields(pivoted):
+            assert np.ndim(getattr(pivoted, f.name)) <= 1
+
+    def test_validates_like_fit(self):
+        with pytest.raises(DomainError):
+            fit_pivoted([0.0], [1.0], [0.0], 0.1, GaussianKernel(1.0))
+        with pytest.raises(DomainError):
+            fit_pivoted([], [], [], 0.1, GaussianKernel(1.0))
+        with pytest.raises(DomainError):
+            fit_pivoted([0.0], [1.0], [1.0], 0.1, GaussianKernel(1.0), "bogus")

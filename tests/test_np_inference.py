@@ -5,7 +5,7 @@ import pytest
 
 import ksib.np_inference as np_inference
 from ksib.errors import DomainError
-from ksib.kernel_ridge import GaussianKernel, fit
+from ksib.kernel_ridge import GaussianKernel, fit, fit_pivoted
 from ksib.np_inference import (METHOD_BAND, METHOD_CLT, _loo_denominators,
                                as_band_ci, build_covariance,
                                calibrate_band_constant,
@@ -21,6 +21,12 @@ def fitted_model(rng, n=12, wmax=6.0, bw=1.0, lam=0.4):
 
 
 class TestBuildCovariance:
+    def test_rejects_the_policy_link_predictor(self):
+        predictor = fit_pivoted([0.0, 1.0], [1.0, -1.0], [1.0, 1.0], 0.5,
+                                GaussianKernel(1.0))
+        with pytest.raises(TypeError, match="KrrModel"):
+            build_covariance(predictor)
+
     def test_single_point_worked_chain(self):
         # fit: c = 1/(1+1) so prediction 1/2, residual 1/2, core 1/16
         m = fit([0.0], [1.0], [1.0], 1.0, GaussianKernel(1.0))

@@ -6,8 +6,11 @@ import pickle
 import numpy as np
 import pytest
 
+from ksib import kernel_ridge
+from ksib import policy as policy_module
 from ksib.environment import SyntheticEnv, sample_canonical_betas
 from ksib.errors import StateError
+from ksib.harness import Scenario, run_trajectory
 from ksib.numerics import Rng
 from ksib.policy import EpsilonGreedyPolicy, EpsilonSchedule, PolicyConfig
 from ksib.score_features import KnownGaussianScore
@@ -172,3 +175,22 @@ class TestDeterminism:
             run_rounds(policy, env, 150)
             digests.append(tuple(state_digest(s) for s in policy.arms))
         assert digests[0] == digests[1]
+
+
+class TestPivotedRefit:
+    """The policy's pivoted-Cholesky refit decides exactly as the dense fit."""
+
+    @pytest.mark.parametrize("scenario", [
+        dict(d=2, sigma=0.05),
+        dict(d=5, sigma=0.20, score="empirical")])
+    @pytest.mark.parametrize("rep", [0, 1])
+    def test_same_decisions_as_exact_fit(self, monkeypatch, scenario, rep):
+        sc = Scenario(T=1000, reps=1, seed=4, **scenario)
+        log, _, ledger, _ = run_trajectory(sc, rep)
+        with monkeypatch.context() as m:
+            m.setattr(policy_module, "fit_pivoted", kernel_ridge.fit)
+            exact_log, _, exact_ledger, _ = run_trajectory(sc, rep)
+        assert np.bincount(log.arm).max() > 200
+        np.testing.assert_array_equal(log.greedy, exact_log.greedy)
+        np.testing.assert_array_equal(log.arm, exact_log.arm)
+        assert ledger.total == exact_ledger.total

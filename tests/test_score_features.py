@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ksib.errors import DomainError, SingularityError, StateError
+from ksib.numerics import solve_spd
 from ksib.score_features import EmpiricalWhiteningScore, KnownGaussianScore
 
 
@@ -44,6 +45,18 @@ class TestKnownGaussian:
         batch = model.score(xs)
         for i in range(5):
             np.testing.assert_allclose(batch[i], model.score(xs[i]), atol=1e-12)
+
+    def test_factored_once_bit_identical_to_solve_spd(self):
+        rng = np.random.default_rng(2)
+        a = rng.normal(size=(4, 4))
+        mean, cov = rng.normal(size=4), a @ a.T + 0.5 * np.eye(4)
+        model = KnownGaussianScore(mean, cov)
+        for x in (rng.normal(size=4), rng.normal(size=(7, 4))):
+            assert np.array_equal(model.score(x), solve_spd(cov, (x - mean).T).T)
+
+    def test_rejects_non_pd_covariance(self):
+        with pytest.raises(SingularityError):
+            KnownGaussianScore(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestEmpiricalWhitening:
