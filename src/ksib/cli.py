@@ -24,12 +24,11 @@ import numpy as np
 
 from .environment import ReplayEnv, load_csv
 from .errors import ConfigError, KsibError
-from .harness import (Scenario, TrajectoryLog, aggregate, export,
-                      inference_snapshot, np_cis_at, run_scenario)
+from .harness import (MARGINAL_COLUMNS, Scenario, TrajectoryLog, aggregate,
+                      export, inference_snapshot, np_cis_at, run_policy,
+                      run_scenario, run_trajectory, write_csv)
 from .index_inference import marginal_rows
 from .numerics import Rng
-from .policy import EpsilonGreedyPolicy
-from .score_features import EmpiricalWhiteningScore
 
 REALDATA_INFERENCE_TIMES = (200, 300, 400, 500, 600, 700, 800, 900)
 
@@ -59,7 +58,7 @@ def _scenario_from_args(args) -> Scenario:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    if "inference_times" in values:
+    if isinstance(values.get("inference_times"), list):
         values["inference_times"] = tuple(values["inference_times"])
     scenario = Scenario(**values)
     scenario.validate()
@@ -91,8 +90,6 @@ def cmd_simulate(args) -> int:
     table = aggregate(records, scenario)
     export(table, args.out)
     if args.audit_reps:
-        from .harness import run_trajectory
-        os.makedirs(args.out, exist_ok=True)
         for rep in range(min(args.audit_reps, scenario.reps)):
             log, _, _, _ = run_trajectory(scenario, rep)
             _write_audit(log, os.path.join(args.out, f"rounds_rep{rep}.csv"))
@@ -105,40 +102,22 @@ def cmd_simulate(args) -> int:
 def cmd_realdata(args) -> int:
     table = load_csv(args.csv, args.label_col,
                      args.feature_cols.split(",") if args.feature_cols else None)
-    horizon = args.T
-    times = tuple(t for t in REALDATA_INFERENCE_TIMES if args.T0 < t <= horizon)
-    scenario = Scenario(d=table.features.shape[1], sigma=0.0, T=horizon,
+    times = tuple(t for t in REALDATA_INFERENCE_TIMES if args.T0 < t <= args.T)
+    scenario = Scenario(d=table.features.shape[1], sigma=0.0, T=args.T,
                         T0=args.T0, reps=args.perms, seed=args.seed,
                         inference_times=times, score="empirical")
+    scenario.validate()
     os.makedirs(args.out, exist_ok=True)
     master = Rng(args.seed)
     summary_rows = []
     marg_rows = []
     for perm in range(args.perms):
-        env = ReplayEnv(table, seed=master.split(perm).seed, horizon=horizon)
-        policy = EpsilonGreedyPolicy(scenario.policy_config(),
-                                     EmpiricalWhiteningScore(scenario.d),
-                                     master.split(10_000 + perm))
-        T = horizon
-        contexts = np.empty((T, scenario.d))
-        greedy = np.empty(T, dtype=int)
-        arm = np.empty(T, dtype=int)
-        prop = np.empty(T)
-        reward = np.empty(T)
-        eps = np.empty(T)
-        labels = np.empty(T, dtype=int)
-        for i in range(T):
-            x, rewards_all = env.draw_round()
-            rec = policy.step(x, lambda a: rewards_all[a])
-            contexts[i], greedy[i], arm[i] = x, rec.greedy_arm, rec.arm
-            prop[i], reward[i], eps[i] = rec.propensity, rec.reward, rec.epsilon
-            labels[i] = int(rewards_all[1])
-            if rec.t in set(times):
-                policy.force_refit()
-        log = TrajectoryLog(contexts, greedy, arm, prop, reward, eps)
+        env = ReplayEnv(table, seed=master.split(perm).seed, horizon=args.T)
+        log, means = run_policy(scenario, env, master.split(10_000 + perm))
         if args.audit:
             _write_audit(log, os.path.join(args.out, f"rounds_perm{perm}.csv"))
-        accuracy = float(np.mean(reward))
+        labels = means[:, 1]
+        accuracy = float(np.mean(log.reward))
         base = max(float(np.mean(labels == 0)), float(np.mean(labels == 1)))
         # regret proxy vs the best fixed arm in hindsight, averaged per round
         regret_proxy = base - accuracy
@@ -158,13 +137,8 @@ def cmd_realdata(args) -> int:
                    "config": dataclasses.asdict(scenario)}, fh,
                   sort_keys=True, indent=2)
         fh.write("\n")
-    with open(os.path.join(args.out, "realdata_marginals.csv"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write("rep,arm,t,coord,center,lo,hi,covered\n")
-        for row in marg_rows:
-            fh.write(",".join(str(row[c]) for c in
-                              ("rep", "arm", "t", "coord", "center", "lo",
-                               "hi", "covered")) + "\n")
+    write_csv(os.path.join(args.out, "realdata_marginals.csv"),
+              MARGINAL_COLUMNS, marg_rows)
     mean_acc = float(np.mean([r["accuracy"] for r in summary_rows]))
     print(f"realdata: {args.perms} permutations, mean accuracy {mean_acc:.3f}",
           file=sys.stderr)

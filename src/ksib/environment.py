@@ -21,11 +21,17 @@ from .numerics import Rng
 DEFAULT_LINK_PARAMS = (0.6, 0.4, 0.4, 1.0)
 
 
+def tanh_links(params=DEFAULT_LINK_PARAMS):
+    """The default link pair ``(g1, g2)`` as two callables."""
+    mu1, mu2, a, k = params
+    return (lambda z: mu1 + a * np.tanh(k * z),
+            lambda z: mu2 - a * np.tanh(k * z))
+
+
 def link_pair(z, params=DEFAULT_LINK_PARAMS):
     """Evaluate both default links at ``z``; returns ``(g1(z), g2(z))``."""
-    mu1, mu2, a, k = params
-    bump = a * np.tanh(k * np.asarray(z, dtype=float))
-    return mu1 + bump, mu2 - bump
+    z = np.asarray(z, dtype=float)
+    return tuple(g(z) for g in tanh_links(params))
 
 
 def sample_canonical_betas(d: int, n_arms: int, rng: Rng) -> np.ndarray:
@@ -41,17 +47,14 @@ def sample_canonical_betas(d: int, n_arms: int, rng: Rng) -> np.ndarray:
 class SyntheticEnv:
     """Single-index reward generator with known ground truth."""
 
-    def __init__(self, betas, sigma: float, rng: Rng, links=None,
-                 link_params=DEFAULT_LINK_PARAMS):
+    def __init__(self, betas, sigma: float, rng: Rng, links=None):
         self.betas = np.atleast_2d(np.asarray(betas, dtype=float))
         if sigma < 0:
             raise DomainError("sigma must be nonnegative")
         self.sigma = sigma
         self.rng = rng
         if links is None:
-            mu1, mu2, a, k = link_params
-            links = (lambda z: mu1 + a * np.tanh(k * z),
-                     lambda z: mu2 - a * np.tanh(k * z))
+            links = tanh_links()
         if len(links) != self.betas.shape[0]:
             raise DomainError("one link per arm required")
         self.links = links
@@ -126,14 +129,16 @@ class ReplayEnv:
         self.horizon = horizon
 
     def draw_round(self):
-        """Returns ``(context, per-arm rewards)``; each row consumed once."""
+        """Returns ``(context, per-arm rewards, noise)`` like
+        :meth:`SyntheticEnv.draw_round`: the 0/1 rewards are the arms' means
+        and the noise is 0.0.  Each row is consumed once."""
         if self.cursor >= self.horizon:
             raise DomainError("trajectory exhausted")
         x = self.features[self.cursor]
         label = int(self.labels[self.cursor])
         self.cursor += 1
         rewards = np.array([1.0 if label == i else 0.0 for i in (0, 1)])
-        return x, rewards
+        return x, rewards, 0.0
 
 
 def load_csv(path, label_column, feature_columns=None,

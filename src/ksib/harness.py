@@ -25,9 +25,10 @@ from . import index_inference, np_inference
 from .environment import RegretLedger, SyntheticEnv, sample_canonical_betas
 from .errors import ConfigError, DegeneracyError, DomainError, KsibError
 from .index_estimation import accumulate_arrays, estimate_from_arrays
-from .kernel_ridge import GaussianKernel, fit, median_bandwidth, ridge_schedule
+from .kernel_ridge import GaussianKernel, fit, median_bandwidth
 from .numerics import Rng, min_eigenvalue, normal_quantile
-from .policy import EpsilonGreedyPolicy, EpsilonSchedule, PolicyConfig
+from .policy import (EpsilonGreedyPolicy, EpsilonSchedule, PolicyConfig,
+                     propensity)
 from .score_features import EmpiricalWhiteningScore, KnownGaussianScore
 
 SCHEMA_VERSION = 1
@@ -39,6 +40,16 @@ REGRET_COLUMNS = ["scenario", "t", "mean_avg_regret", "lo", "hi", "n"]
 MARGINAL_COLUMNS = ["rep", "arm", "t", "coord", "center", "lo", "hi", "covered"]
 POINTWISE_COLUMNS = ["rep", "arm", "t", "method", "u", "center", "lo", "hi",
                      "truth", "covered", "length"]
+LOG_TAIL_COLUMNS = ["greedy_arm", "pulled_arm", "propensity", "reward", "epsilon"]
+
+# value types accepted per Scenario field annotation
+_FIELD_TYPES = {"int": (int, np.integer), "str": (str,), "tuple": (tuple, list),
+                "float": (int, float, np.integer, np.floating)}
+
+
+def _is_a(value, annotation: str) -> bool:
+    # bool subclasses int, but True is no dimension, count or rate
+    return isinstance(value, _FIELD_TYPES[annotation]) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -72,6 +83,13 @@ class Scenario:
     np_residual_mode: str = "loo"  # "loo" | "raw"
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _is_a(value, f.type):
+                raise ConfigError(f"{f.name} must be {f.type}, "
+                                  f"got {type(value).__name__} {value!r}")
+        if not all(_is_a(t, "int") for t in self.inference_times):
+            raise ConfigError("inference_times must hold integers")
         if self.d < 1:
             raise ConfigError("d must be >= 1")
         if self.sigma < 0:
@@ -134,6 +152,13 @@ class TrajectoryLog:
     reward: np.ndarray
     epsilon: np.ndarray
 
+    @classmethod
+    def empty(cls, rounds: int, dim: int) -> "TrajectoryLog":
+        """A log of ``rounds`` unfilled rounds."""
+        return cls(np.empty((rounds, dim)), np.empty(rounds, dtype=int),
+                   np.empty(rounds, dtype=int), np.empty(rounds),
+                   np.empty(rounds), np.empty(rounds))
+
     @property
     def rounds(self) -> int:
         return self.arm.size
@@ -145,11 +170,8 @@ class TrajectoryLog:
     def arm_propensities(self, arm: int, t: int, warm_start: int,
                          n_arms: int) -> np.ndarray:
         """Per-round assignment probability of ``arm`` over rounds 1..t."""
-        s = np.arange(1, t + 1)
-        warm = s <= warm_start
-        p = np.where(self.greedy[:t] == arm, 1.0 - self.epsilon[:t],
-                     self.epsilon[:t] / (n_arms - 1))
-        return np.where(warm, 1.0 / n_arms, p)
+        return propensity(arm, self.greedy[:t], self.epsilon[:t],
+                          np.arange(1, t + 1), warm_start, n_arms)
 
     def to_rows(self) -> list[list]:
         rows = []
@@ -162,33 +184,25 @@ class TrajectoryLog:
 
     @staticmethod
     def header(dim: int) -> list[str]:
-        return (["t"] + [f"x{j}" for j in range(dim)]
-                + ["greedy_arm", "pulled_arm", "propensity", "reward", "epsilon"])
+        return ["t"] + [f"x{j}" for j in range(dim)] + LOG_TAIL_COLUMNS
 
     @classmethod
     def from_rows(cls, header: list[str], rows: list[list[str]]) -> "TrajectoryLog":
-        expect_tail = ["greedy_arm", "pulled_arm", "propensity", "reward", "epsilon"]
-        if header[:1] != ["t"] or header[-5:] != expect_tail:
-            missing = [c for c in ["t"] + expect_tail if c not in header]
+        if header[:1] != ["t"] or header[-5:] != LOG_TAIL_COLUMNS:
+            missing = [c for c in ["t"] + LOG_TAIL_COLUMNS if c not in header]
             raise DomainError(f"audit log schema mismatch; missing columns {missing}")
         dim = len(header) - 6
-        n = len(rows)
-        if n == 0:
+        if not rows:
             raise DomainError("empty audit log")
-        contexts = np.empty((n, dim))
-        greedy = np.empty(n, dtype=int)
-        arm = np.empty(n, dtype=int)
-        propensity = np.empty(n)
-        reward = np.empty(n)
-        epsilon = np.empty(n)
+        log = cls.empty(len(rows), dim)
         for i, row in enumerate(rows):
-            contexts[i] = [float(v) for v in row[1:1 + dim]]
-            greedy[i] = int(row[1 + dim])
-            arm[i] = int(row[2 + dim])
-            propensity[i] = float(row[3 + dim])
-            reward[i] = float(row[4 + dim])
-            epsilon[i] = float(row[5 + dim])
-        return cls(contexts, greedy, arm, propensity, reward, epsilon)
+            log.contexts[i] = [float(v) for v in row[1:1 + dim]]
+            log.greedy[i] = int(row[1 + dim])
+            log.arm[i] = int(row[2 + dim])
+            log.propensity[i] = float(row[3 + dim])
+            log.reward[i] = float(row[4 + dim])
+            log.epsilon[i] = float(row[5 + dim])
+        return log
 
 
 @dataclass
@@ -247,10 +261,7 @@ def inference_snapshot(log: TrajectoryLog, t: int, arm: int,
     direction = est.direction if est.direction[0] >= 0 else -est.direction
     u_sup = log.contexts[:t][pulled] @ direction
     bw = median_bandwidth(u_sup)
-    n_pulls = int(pulled.sum())
-    sched_t = t if scenario.ridge_time == "rounds" else n_pulls
-    lam = ridge_schedule(sched_t, scenario.zeta)
-    scale = "none" if scenario.krr_ridge_mode == "plain" else "support"
+    lam, scale = scenario.policy_config().link_ridge(t, int(pulled.sum()))
     model = fit(u_sup, rewards[pulled], weights, lam, GaussianKernel(bw),
                 lam_scale=scale)
     cov = np_inference.build_covariance(model, scenario.gamma,
@@ -293,40 +304,41 @@ class RunRecord:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
 
-def run_trajectory(scenario: Scenario, rep: int):
-    """Simulate one trajectory; returns (log, true mean matrix, regret ledger)."""
-    betas = scenario.scenario_betas()
-    rep_rng = Rng(scenario.seed).split(rep)
-    env = SyntheticEnv(betas, scenario.sigma, rep_rng.split(1))
+def run_policy(scenario: Scenario, env, rng: Rng):
+    """Step a fresh policy through ``scenario.T`` rounds of ``env``, whose
+    ``draw_round()`` gives ``(context, per-arm means, noise)``; the pulled arm
+    earns its mean plus the noise.  Returns the log and the (T, L) means."""
     if scenario.score == "known":
         score = KnownGaussianScore.standard(scenario.d)
     else:
         score = EmpiricalWhiteningScore(scenario.d)
-    policy = EpsilonGreedyPolicy(scenario.policy_config(), score, rep_rng.split(2))
-    ledger = RegretLedger()
-    T = scenario.T
-    contexts = np.empty((T, scenario.d))
-    greedy = np.empty(T, dtype=int)
-    arm = np.empty(T, dtype=int)
-    prop = np.empty(T)
-    reward = np.empty(T)
-    eps = np.empty(T)
-    means = np.empty((T, scenario.n_arms))
+    policy = EpsilonGreedyPolicy(scenario.policy_config(), score, rng)
+    log = TrajectoryLog.empty(scenario.T, scenario.d)
+    means = np.empty((scenario.T, scenario.n_arms))
     infer_set = set(scenario.inference_times)
-    for i in range(T):
+    for i in range(scenario.T):
         x, mu, noise = env.draw_round()
         rec = policy.step(x, lambda a: mu[a] + noise)
-        ledger.update(mu[rec.arm], mu)
-        contexts[i] = x
-        greedy[i] = rec.greedy_arm
-        arm[i] = rec.arm
-        prop[i] = rec.propensity
-        reward[i] = rec.reward
-        eps[i] = rec.epsilon
+        log.contexts[i] = x
+        log.greedy[i] = rec.greedy_arm
+        log.arm[i] = rec.arm
+        log.propensity[i] = rec.propensity
+        log.reward[i] = rec.reward
+        log.epsilon[i] = rec.epsilon
         means[i] = mu
         if rec.t in infer_set:
             policy.force_refit()
-    log = TrajectoryLog(contexts, greedy, arm, prop, reward, eps)
+    return log, means
+
+
+def run_trajectory(scenario: Scenario, rep: int):
+    """Simulate one trajectory; returns (log, true mean matrix, regret ledger, env)."""
+    rep_rng = Rng(scenario.seed).split(rep)
+    env = SyntheticEnv(scenario.scenario_betas(), scenario.sigma, rep_rng.split(1))
+    log, means = run_policy(scenario, env, rep_rng.split(2))
+    ledger = RegretLedger()
+    for mu, pulled in zip(means, log.arm):
+        ledger.update(mu[pulled], mu)
     return log, means, ledger, env
 
 
@@ -346,9 +358,8 @@ def run_replication(scenario: Scenario, rep: int) -> RunRecord:
                 covered_all.append(covered)
                 record.param_rows.append({"t": t, "arm": snap.arm,
                                           "covered": int(covered)})
-                aligned = index_inference.sign_align(truth, snap.report.direction)
                 record.marginal_rows.extend(index_inference.marginal_rows(
-                    rep, snap.arm, t, snap.report, aligned))
+                    rep, snap.arm, t, snap.report, truth))
             record.joint_rows.append({"t": t, "covered": int(all(covered_all))})
             if t < log.rounds:
                 x_next = log.contexts[t]   # round t+1 (0-based row t)
@@ -418,22 +429,21 @@ class CoverageTable:
     diagnostics: dict
 
     def coverage_rate(self, kind: str, t: int, arm: int = -1) -> float:
-        for row in self.coverage_rows:
-            if row["kind"] == kind and row["t"] == t and row["arm"] == arm:
-                return row["rate"]
-        raise KeyError(f"no coverage row kind={kind} t={t} arm={arm}")
+        return _lookup(self.coverage_rows, "rate", kind=kind, t=t, arm=arm)
 
     def mean_length(self, method: str, t: int, arm: int = -1) -> float:
-        for row in self.length_rows:
-            if row["method"] == method and row["t"] == t and row["arm"] == arm:
-                return row["mean_length"]
-        raise KeyError(f"no length row method={method} t={t} arm={arm}")
+        return _lookup(self.length_rows, "mean_length", method=method, t=t, arm=arm)
 
     def avg_regret(self, t: int) -> float:
-        for row in self.regret_rows:
-            if row["t"] == t:
-                return row["mean_avg_regret"]
-        raise KeyError(f"no regret row t={t}")
+        return _lookup(self.regret_rows, "mean_avg_regret", t=t)
+
+
+def _lookup(rows: list[dict], column: str, **match):
+    """``column`` of the first row whose fields equal ``match``."""
+    for row in rows:
+        if all(row[k] == v for k, v in match.items()):
+            return row[column]
+    raise KeyError(f"no {column} row with {match}")
 
 
 def aggregate(records: list[RunRecord], scenario: Scenario) -> CoverageTable:
@@ -442,7 +452,7 @@ def aggregate(records: list[RunRecord], scenario: Scenario) -> CoverageTable:
     if not ok:
         raise DomainError("no successful replications to aggregate")
     times = list(scenario.inference_times)
-    coverage_rows = []
+    coverage_rows, length_rows = [], []
     for t in times:
         joint = [row["covered"] for r in ok for row in r.joint_rows
                  if row["t"] == t]
@@ -454,25 +464,16 @@ def aggregate(records: list[RunRecord], scenario: Scenario) -> CoverageTable:
         for method in (np_inference.METHOD_CLT, np_inference.METHOD_BAND):
             rows = [row for r in ok for row in r.pointwise_rows
                     if row["t"] == t and row["method"] == method]
-            coverage_rows.append(_rate_row(scenario, -1, t, f"np_{method}",
-                                           [row["covered"] for row in rows]))
-            for a in range(scenario.n_arms):
-                sub = [row["covered"] for row in rows if row["arm"] == a]
-                coverage_rows.append(_rate_row(scenario, a, t, f"np_{method}", sub))
-
-    length_rows = []
-    for t in times:
-        for method in (np_inference.METHOD_CLT, np_inference.METHOD_BAND):
-            rows = [row for r in ok for row in r.pointwise_rows
-                    if row["t"] == t and row["method"] == method]
             for a in [-1] + list(range(scenario.n_arms)):
-                sub = [row["length"] for row in rows
-                       if a == -1 or row["arm"] == a]
+                sub = [row for row in rows if a == -1 or row["arm"] == a]
+                coverage_rows.append(_rate_row(scenario, a, t, f"np_{method}",
+                                               [row["covered"] for row in sub]))
                 n = len(sub)
                 if n == 0:
                     continue
-                mean = float(np.mean(sub))
-                se = float(np.std(sub, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+                lengths = [row["length"] for row in sub]
+                mean = float(np.mean(lengths))
+                se = float(np.std(lengths, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
                 length_rows.append({"scenario": scenario.scenario_id, "arm": a,
                                     "t": t, "method": method,
                                     "mean_length": mean, "se": se, "n": n})
@@ -509,7 +510,7 @@ def aggregate(records: list[RunRecord], scenario: Scenario) -> CoverageTable:
 
 # -- export -----------------------------------------------------------------
 
-def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
+def write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in columns))
@@ -532,15 +533,15 @@ def export(table: CoverageTable, outdir: str) -> None:
     if not table.coverage_rows:
         raise DomainError("refusing to export an empty table")
     os.makedirs(outdir, exist_ok=True)
-    _write_csv(os.path.join(outdir, "coverage.csv"), COVERAGE_COLUMNS,
+    write_csv(os.path.join(outdir, "coverage.csv"), COVERAGE_COLUMNS,
                table.coverage_rows)
-    _write_csv(os.path.join(outdir, "lengths.csv"), LENGTH_COLUMNS,
+    write_csv(os.path.join(outdir, "lengths.csv"), LENGTH_COLUMNS,
                table.length_rows)
-    _write_csv(os.path.join(outdir, "regret.csv"), REGRET_COLUMNS,
+    write_csv(os.path.join(outdir, "regret.csv"), REGRET_COLUMNS,
                table.regret_rows)
-    _write_csv(os.path.join(outdir, "marginals.csv"), MARGINAL_COLUMNS,
+    write_csv(os.path.join(outdir, "marginals.csv"), MARGINAL_COLUMNS,
                table.marginal_rows)
-    _write_csv(os.path.join(outdir, "pointwise.csv"), POINTWISE_COLUMNS,
+    write_csv(os.path.join(outdir, "pointwise.csv"), POINTWISE_COLUMNS,
                table.pointwise_rows)
     summary = {
         "schema_version": SCHEMA_VERSION,

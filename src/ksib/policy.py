@@ -36,6 +36,22 @@ class EpsilonSchedule:
         return max(self.floor, min(self.cap, self.coeff * float(t) ** (-self.exponent)))
 
 
+# the pulled arm's link model is refit after every one of its first
+# REFIT_EVERY_ROUND_BELOW pulls and then after every REFIT_INTERVAL-th pull
+REFIT_EVERY_ROUND_BELOW = 200
+REFIT_INTERVAL = 10
+
+
+def propensity(arm, greedy, eps, t, warm_start: int, n_arms: int):
+    """Assignment probability of ``arm`` in round ``t`` (the rule in the
+    module docstring); elementwise, for one round or arrays of rounds."""
+    # 0/1 indicator weights pick exactly (the other term is 0.0) and, unlike
+    # np.where, cost only float arithmetic on one round's scalars
+    is_greedy, warm = arm == greedy, t <= warm_start
+    p = is_greedy * (1.0 - eps) + (1 - is_greedy) * (eps / (n_arms - 1))
+    return warm * (1.0 / n_arms) + (1 - warm) * p
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
     n_arms: int = 2
@@ -50,14 +66,18 @@ class PolicyConfig:
     krr_ridge_mode: str = "plain"
     # schedule driven by total rounds or by the arm's pull count
     ridge_time: str = "rounds"
-    refit_every_round_below: int = 200
-    refit_interval: int = 10
+
+    def link_ridge(self, t: int, n_pulls: int) -> tuple[float, str]:
+        """``(lam, lam_scale)`` for a link fit at round ``t`` on an arm's
+        ``n_pulls`` pulls, as :func:`kernel_ridge.fit` takes them."""
+        t_sched = t if self.ridge_time == "rounds" else n_pulls
+        scale = "none" if self.krr_ridge_mode == "plain" else "support"
+        return ridge_schedule(max(t_sched, 1), self.zeta), scale
 
 
 @dataclass
 class RoundRecord:
     t: int
-    context: np.ndarray
     greedy_arm: int
     arm: int
     propensity: float
@@ -107,30 +127,22 @@ class EpsilonGreedyPolicy:
     def select(self, x):
         """Sample the arm for the next round; returns (arm, propensity, greedy, eps)."""
         t_next = self.t + 1
-        if t_next <= self.config.warm_start:
-            arm = (t_next - 1) % self.config.n_arms
-            return arm, 1.0 / self.config.n_arms, arm, 1.0 / self.config.n_arms
-        eps = self.config.schedule.value(t_next)
-        best = self.greedy_arm(x)
-        u = self.rng.uniform()
-        if u < 1.0 - eps:
-            return best, 1.0 - eps, best, eps
-        others = [i for i in range(self.config.n_arms) if i != best]
-        slot = min(int((u - (1.0 - eps)) / (eps / len(others))), len(others) - 1)
-        return others[slot], eps / len(others), best, eps
-
-    def propensity_of(self, arm: int, greedy: int, eps: float, t: int) -> float:
-        """Assignment probability of ``arm`` given the round's greedy arm."""
-        if t <= self.config.warm_start:
-            return 1.0 / self.config.n_arms
-        if arm == greedy:
-            return 1.0 - eps
-        return eps / (self.config.n_arms - 1)
+        n_arms, warm_start = self.config.n_arms, self.config.warm_start
+        if t_next <= warm_start:
+            arm = best = (t_next - 1) % n_arms
+            eps = 1.0 / n_arms
+        else:
+            eps = self.config.schedule.value(t_next)
+            best = arm = self.greedy_arm(x)
+            u = self.rng.uniform()
+            if u >= 1.0 - eps:
+                others = [i for i in range(n_arms) if i != best]
+                slot = min(int((u - (1.0 - eps)) / (eps / len(others))),
+                           len(others) - 1)
+                arm = others[slot]
+        return arm, propensity(arm, best, eps, t_next, warm_start, n_arms), best, eps
 
     # -- estimator updates --------------------------------------------------
-
-    def _refit_index(self, state: ArmState) -> None:
-        state.estimate = state.acc.estimate_beta(self.config.lambda_beta)
 
     def _refit_krr(self, state: ArmState) -> None:
         n = len(state.xs)
@@ -141,10 +153,8 @@ class EpsilonGreedyPolicy:
         if state.bandwidth is None or n >= 2 * state.bandwidth_n:
             state.bandwidth = median_bandwidth(u)
             state.bandwidth_n = n
-        t_sched = self.t if self.config.ridge_time == "rounds" else n
-        lam = ridge_schedule(max(t_sched, 1), self.config.zeta)
+        lam, scale = self.config.link_ridge(self.t, n)
         w = 1.0 / np.maximum(np.asarray(state.props), self.config.p_min)
-        scale = "none" if self.config.krr_ridge_mode == "plain" else "support"
         state.model = fit_pivoted(u, np.asarray(state.ys), w, lam,
                                   GaussianKernel(state.bandwidth),
                                   lam_scale=scale)
@@ -171,16 +181,16 @@ class EpsilonGreedyPolicy:
         pulled.xs.append(x)
         pulled.ys.append(y)
         pulled.props.append(prop)
-        self._refit_index(pulled)
+        pulled.estimate = pulled.acc.estimate_beta(self.config.lambda_beta)
         n = len(pulled.xs)
-        if n <= self.config.refit_every_round_below or n % self.config.refit_interval == 0:
+        if n <= REFIT_EVERY_ROUND_BELOW or n % REFIT_INTERVAL == 0:
             self._refit_krr(pulled)
-        return RoundRecord(self.t, x, greedy, arm, prop, y, eps)
+        return RoundRecord(self.t, greedy, arm, prop, y, eps)
 
     def force_refit(self) -> None:
         """Refresh every arm's snapshots (used at inference times)."""
         for state in self.arms:
             if state.acc.pulls:
-                self._refit_index(state)
+                state.estimate = state.acc.estimate_beta(self.config.lambda_beta)
                 state.bandwidth = None
                 self._refit_krr(state)

@@ -69,6 +69,19 @@ class TestSimulate:
         assert code != 0
         assert "sigmma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config,field", [
+        ({"d": "2"}, "d"), ({"gamma": "x"}, "gamma"),
+        ({"inference_times": 5}, "inference_times")])
+    def test_wrongly_typed_config_rejected(self, tmp_path, capsys, config,
+                                           field):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["simulate", "--config", str(cfg), "--reps", "1",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"error: {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_summary_echoes_resolved_config(self, sim_out):
         summary = json.loads((sim_out / "summary.json").read_text())
         assert summary["config"]["T"] == 140
@@ -177,6 +190,49 @@ class TestRealdata:
         a = (out / "rounds_perm0.csv").read_text()
         b = (out / "rounds_perm1.csv").read_text()
         assert a != b
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--perms", "0"], "reps must be >= 1"),
+        (["--T", "0"], "need 0 < T0 < T"),
+        (["--T0", "250", "--T", "240"], "need 0 < T0 < T")])
+    def test_invalid_run_rejected(self, tmp_path, capsys, flags, message):
+        csv_path = two_cluster_csv(tmp_path / "clusters.csv", n=300)
+        out = tmp_path / "rd"
+        code = main(["realdata", "--csv", csv_path, "--label-col", "label",
+                     "--out", str(out)] + flags)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_replay_reproduces_live_marginals(self, tmp_path, capsys):
+        """``infer`` on a realdata audit log recomputes every marginal row."""
+        csv_path = two_cluster_csv(tmp_path / "clusters.csv")
+        out = tmp_path / "rd"
+        assert main(["realdata", "--csv", csv_path, "--label-col", "label",
+                     "--perms", "1", "--T", "400", "--T0", "20",
+                     "--out", str(out), "--audit"]) == 0
+        capsys.readouterr()
+        with open(out / "realdata_marginals.csv", newline="",
+                  encoding="utf-8") as fh:
+            live = list(csv.DictReader(fh))
+        checked = 0
+        for t in (200, 300, 400):
+            for arm in (0, 1):
+                rows = [r for r in live
+                        if r["t"] == str(t) and r["arm"] == str(arm)]
+                assert main(["infer", "--log", str(out / "rounds_perm0.csv"),
+                             "--arm", str(arm), "--t", str(t), "--T0", "20",
+                             "--score", "empirical"]) == 0
+                got = json.loads(capsys.readouterr().out)
+                assert len(rows) == len(got["direction"]) == 3
+                for r in rows:
+                    j = int(r["coord"])
+                    assert float(r["center"]) == pytest.approx(
+                        got["direction"][j], rel=0, abs=1e-9)
+                    assert float(r["hi"]) - float(r["lo"]) == pytest.approx(
+                        2 * got["marginal_half_widths"][j], rel=0, abs=1e-9)
+                    checked += 1
+        assert checked == 18
 
     def test_missing_label_column(self, tmp_path, capsys):
         csv_path = two_cluster_csv(tmp_path / "clusters.csv", seed=2)

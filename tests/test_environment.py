@@ -188,8 +188,9 @@ class TestReplayEnv:
         env = ReplayEnv(table, seed=4, horizon=60)
         ones = 0
         for _ in range(60):
-            _, rewards = env.draw_round()
+            _, rewards, noise = env.draw_round()
             assert set(rewards.tolist()) == {0.0, 1.0}
+            assert noise == 0.0
             ones += rewards[1]
         assert ones == np.sum(env.labels == 1)
 
@@ -198,7 +199,7 @@ class TestReplayEnv:
         env = ReplayEnv(table, seed=5, horizon=60)
         total = 0.0
         for _ in range(60):
-            _, rewards = env.draw_round()
+            _, rewards, _ = env.draw_round()
             total += rewards[0]
         assert total / 60 == pytest.approx(np.mean(env.labels == 0))
 

@@ -1,5 +1,6 @@
 """Replication engine: aggregation math, exports, determinism, replay."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,6 +16,9 @@ from ksib.numerics import Rng
 
 TINY = dict(T=140, T0=20, reps=4, inference_times=(60, 100, 139),
             d=2, sigma=0.05, seed=3)
+
+# one wrongly typed value per Scenario field annotation
+WRONG_TYPE = {"int": "2", "float": "x", "str": 3, "tuple": 5}
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +51,23 @@ class TestScenario:
     def test_validation_rejects_bad_p_min(self, p_min):
         with pytest.raises(ConfigError, match="p_min"):
             Scenario(p_min=p_min).validate()
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Scenario)])
+    def test_validation_rejects_wrong_type(self, field):
+        annotation = {f.name: f.type for f in dataclasses.fields(Scenario)}[field]
+        with pytest.raises(ConfigError, match=field):
+            Scenario(**{field: WRONG_TYPE[annotation]}).validate()
+
+    @pytest.mark.parametrize("bad", [{"d": True}, {"reps": 2.0},
+                                     {"inference_times": (200, "999")},
+                                     {"inference_times": (200, 999.0)}])
+    def test_validation_rejects_bools_floats_and_bad_times(self, bad):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            Scenario(**bad).validate()
+
+    def test_validation_accepts_numpy_scalars_and_int_floats(self):
+        Scenario(d=np.int64(3), sigma=0, zeta=np.float64(0.05),
+                 inference_times=[200, np.int64(999)]).validate()
 
     def test_scenario_betas_shared_across_reps(self):
         sc = Scenario(**TINY)

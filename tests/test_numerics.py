@@ -1,6 +1,7 @@
 """Numerics kernel: quantiles against independent oracles, solves, RNG."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -68,6 +69,14 @@ class TestNormalQuantile:
         for x in np.linspace(-5, 5, 81):
             assert normal_quantile(phi_series(x)) == pytest.approx(x, abs=1e-6)
 
+    @pytest.mark.parametrize("p", [1e-10, 1 - 1e-10, 1 - 1e-14])
+    def test_far_tails(self, p):
+        """The erf-bisection oracle loses accuracy here; stdlib inverts the
+        complementary tail, where ``1 - p`` is exact."""
+        expect = (statistics.NormalDist().inv_cdf(p) if p < 0.5
+                  else -statistics.NormalDist().inv_cdf(1 - p))
+        assert normal_quantile(p) == pytest.approx(expect, rel=0, abs=1e-12)
+
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
     def test_domain(self, p):
         with pytest.raises(DomainError):
@@ -96,6 +105,12 @@ class TestChi2Quantile:
         for k in (1, 4, 10):
             tiny = chi2_quantile(1e-12, k)
             assert 0.0 <= tiny < chi2_quantile(1e-6, k) < chi2_quantile(0.1, k)
+
+    @pytest.mark.parametrize("p", [1e-12, 1e-8])
+    def test_k1_small_p_closed_form(self, p):
+        """chi2_1 CDF is erf(sqrt(x/2)) ~ sqrt(2x/pi), so x ~ pi p^2 / 2."""
+        assert chi2_quantile(p, 1) == pytest.approx(math.pi * p * p / 2,
+                                                    rel=1e-6, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):

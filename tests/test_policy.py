@@ -71,8 +71,8 @@ class TestSelectionLaw:
         env = SyntheticEnv(sample_canonical_betas(2, 2, Rng(5)), 0.05, Rng(2))
         recs = run_rounds(policy, env, 300)
         for rec in recs:
-            again = policy.propensity_of(rec.arm, rec.greedy_arm, rec.epsilon,
-                                         rec.t)
+            again = policy_module.propensity(rec.arm, rec.greedy_arm,
+                                             rec.epsilon, rec.t, 6, 2)
             assert rec.propensity == again
             if rec.t > 6:
                 expect = 1 - rec.epsilon if rec.arm == rec.greedy_arm \
@@ -94,11 +94,10 @@ class TestSelectionLaw:
         assert abs(total - expect) <= 3 * np.sqrt(var)
 
     def test_explicit_probabilities(self):
-        policy = make_policy()
-        assert policy.propensity_of(1, 1, 0.15, 100) == pytest.approx(0.85)
-        assert policy.propensity_of(0, 1, 0.15, 100) == pytest.approx(0.15)
-        four = make_policy(n_arms=4, dim=2)
-        assert four.propensity_of(2, 0, 0.3, 100) == pytest.approx(0.1)
+        propensity = policy_module.propensity
+        assert propensity(1, 1, 0.15, 100, 10, 2) == pytest.approx(0.85)
+        assert propensity(0, 1, 0.15, 100, 10, 2) == pytest.approx(0.15)
+        assert propensity(2, 0, 0.3, 100, 10, 4) == pytest.approx(0.1)
 
     def test_greedy_undefined_during_warm_start(self):
         policy = make_policy(warm_start=10)
