@@ -24,7 +24,7 @@ import numpy as np
 from . import index_inference, np_inference
 from .environment import RegretLedger, SyntheticEnv, sample_canonical_betas
 from .errors import ConfigError, DegeneracyError, DomainError, KsibError
-from .index_estimation import accumulate_arrays, estimate_from_arrays
+from .index_estimation import estimate_from_arrays
 from .kernel_ridge import GaussianKernel, fit, median_bandwidth
 from .numerics import Rng, min_eigenvalue, normal_quantile
 from .policy import (EpsilonGreedyPolicy, EpsilonSchedule, PolicyConfig,
@@ -88,6 +88,8 @@ class Scenario:
             if not _is_a(value, f.type):
                 raise ConfigError(f"{f.name} must be {f.type}, "
                                   f"got {type(value).__name__} {value!r}")
+            if f.type == "float" and not np.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if not all(_is_a(t, "int") for t in self.inference_times):
             raise ConfigError("inference_times must hold integers")
         if self.d < 1:
@@ -196,12 +198,19 @@ class TrajectoryLog:
             raise DomainError("empty audit log")
         log = cls.empty(len(rows), dim)
         for i, row in enumerate(rows):
-            log.contexts[i] = [float(v) for v in row[1:1 + dim]]
-            log.greedy[i] = int(row[1 + dim])
-            log.arm[i] = int(row[2 + dim])
-            log.propensity[i] = float(row[3 + dim])
-            log.reward[i] = float(row[4 + dim])
-            log.epsilon[i] = float(row[5 + dim])
+            # line 1 of the file is the header
+            if len(row) != len(header):
+                raise DomainError(f"audit log line {i + 2}: {len(row)} cells, "
+                                  f"expected {len(header)}")
+            try:
+                log.contexts[i] = [float(v) for v in row[1:1 + dim]]
+                log.greedy[i] = int(row[1 + dim])
+                log.arm[i] = int(row[2 + dim])
+                log.propensity[i] = float(row[3 + dim])
+                log.reward[i] = float(row[4 + dim])
+                log.epsilon[i] = float(row[5 + dim])
+            except ValueError as exc:
+                raise DomainError(f"audit log line {i + 2}: {exc}") from exc
         return log
 
 
@@ -348,6 +357,7 @@ def run_replication(scenario: Scenario, rep: int) -> RunRecord:
     try:
         log, means, ledger, env = run_trajectory(scenario, rep)
         betas = env.betas
+        snaps = []
         for t in scenario.inference_times:
             snaps = [inference_snapshot(log, t, a, scenario)
                      for a in range(scenario.n_arms)]
@@ -379,13 +389,9 @@ def run_replication(scenario: Scenario, rep: int) -> RunRecord:
                             "length": ci.hi - ci.lo})
             record.regret_rows.append({"t": t, "avg_regret": ledger.average(t)})
         record.final_regret = ledger.total
-        t_last = scenario.inference_times[-1]
-        feats = score_features_for(log, t_last, scenario.score)
-        for a in range(scenario.n_arms):
-            gram, _, tt, _ = accumulate_arrays(
-                feats, log.reward[:t_last], log.arm[:t_last] == a,
-                log.propensity[:t_last], scenario.p_min)
-            record.gram_diag[str(a)] = min_eigenvalue(gram / tt)
+        for snap in snaps:   # the last inference time's
+            record.gram_diag[str(snap.arm)] = min_eigenvalue(
+                snap.estimate.moment_gram)
     except (KsibError, np.linalg.LinAlgError) as exc:
         record.ok = False
         record.error = f"{type(exc).__name__}: {exc}"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import min_eigenvalue, solve_spd
+from .numerics import solve_spd
 
 DEFAULT_P_MIN = 1e-3
 DEFAULT_LAMBDA_BETA = 2e-3
@@ -28,6 +28,7 @@ class IndexEstimate:
     beta_hat: np.ndarray
     direction: np.ndarray
     gram: np.ndarray         # (sum_gram/t + lambda_beta*I), the solve matrix
+    moment_gram: np.ndarray  # sum_gram/t, the unregularized weighted Gram
     lambda_beta: float
     t: int
     degenerate: bool = False
@@ -71,12 +72,6 @@ class IndexAccumulator:
         return _solve_normal_equations(self.sum_gram, self.sum_moment, self.t,
                                        lambda_beta)
 
-    def gram_diagnostic(self) -> float:
-        """Smallest eigenvalue of the 1/t-scaled weighted Gram matrix."""
-        if self.t < 1:
-            raise DomainError("gram_diagnostic requires at least one round")
-        return min_eigenvalue(self.sum_gram / self.t)
-
 
 def _solve_normal_equations(sum_gram, sum_moment, t: int,
                             lambda_beta: float) -> IndexEstimate:
@@ -86,13 +81,14 @@ def _solve_normal_equations(sum_gram, sum_moment, t: int,
     if lambda_beta < 0:
         raise DomainError("lambda_beta must be nonnegative")
     dim = sum_moment.size
-    gram = sum_gram / t + lambda_beta * np.eye(dim)
+    moment_gram = sum_gram / t
+    gram = moment_gram + lambda_beta * np.eye(dim)
     beta = solve_spd(gram, sum_moment / t)
     norm = float(np.linalg.norm(beta))
     if norm == 0.0:
-        return IndexEstimate(beta, np.zeros(dim), gram, lambda_beta, t,
-                             degenerate=True)
-    return IndexEstimate(beta, beta / norm, gram, lambda_beta, t)
+        return IndexEstimate(beta, np.zeros(dim), gram, moment_gram,
+                             lambda_beta, t, degenerate=True)
+    return IndexEstimate(beta, beta / norm, gram, moment_gram, lambda_beta, t)
 
 
 def accumulate_arrays(features: np.ndarray, rewards: np.ndarray,

@@ -6,27 +6,19 @@ The regressor solves the weighted ridge problem
 
 in its dual representation.  With ``D = diag(sqrt(w))`` the stationarity
 condition ``(W K + ridge I) c = W y`` is solved through the symmetric
-similarity transform ``c = D (D K D + ridge I)^{-1} D y``, which keeps
-Cholesky applicable; rows with zero weight never enter the support (an
-arm's support only contains rounds where it was pulled, so w_s > 0).
+similarity transform ``c = D (D K D + ridge I)^{-1} D y``; rows with zero
+weight never enter the support (an arm's support only contains rounds where
+it was pulled, so w_s > 0).
 
-Two solvers share this system:
-
-* :func:`fit` serves inference.  It factors the dense ``M = D K D + ridge I``
-  and keeps the factor on the :class:`KrrModel`, so the plug-in covariance
-  in :mod:`ksib.np_inference` studentizes with the same factorization
-  instead of forming it again.  It also keeps the fitted values: ``M z =
-  D y`` gives ``D K D z = D y - ridge z``, hence ``K c = y - ridge z /
-  sqrt(w)`` with no n x n Gram product.  A snapshot runs it once, so its
-  O(n^3) cost is paid once per (t, arm).
-* :func:`fit_pivoted` serves decisions.  The policy refits every arm's link
-  whenever the arm is pulled (every round up to 200 pulls, then every 10),
-  and the index direction moves every round, so no factor carries over
-  between refits.  A pivoted Cholesky of ``D K D`` of small rank r (the
-  1-D Gaussian kernel matrix has a fast-decaying spectrum) plus a Woodbury
-  solve costs O(n r^2), with a stopping rule that bounds the prediction
-  error against :func:`fit`.  Its :class:`LinkPredictor` keeps only what
-  prediction needs, so it cannot be passed to the covariance.
+:func:`fit` is the one solver, shared by the policy's decisions and by the
+inference snapshots.  It factors ``D K D`` greedily by a pivoted Cholesky
+``L L^T`` of small rank r (the 1-D Gaussian kernel matrix has a
+fast-decaying spectrum) and solves ``(ridge I + L L^T) z = D y`` through
+Woodbury with an r x r Cholesky of ``ridge I + L^T L``, in O(n r^2) and with
+no n x n array.  The :class:`KrrModel` keeps both factors and the fitted
+values (``L L^T z = D y - ridge z`` gives ``K c = y - ridge z / sqrt(w)``),
+so the plug-in covariance in :mod:`ksib.np_inference` studentizes through
+the same Woodbury form without factoring anything again.
 """
 
 from __future__ import annotations
@@ -37,10 +29,17 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DomainError
-from .numerics import _factor_symmetric, median
+from .numerics import median
 
 DEFAULT_ZETA = 0.05
 PAIR_CAP = 200_000
+# the low-rank factor's error: |f_exact(v) - f(v)| and the leverages'
+# |(1 - h_s)_exact - (1 - h_s)| stay below this in exact arithmetic
+PREDICTION_TOL = 1e-10
+# largest accepted round-off estimate eps * sum(w) / ridge of the Woodbury
+# solve, which divides a cancelled difference by the ridge; default-schedule
+# fits sit near 1e-11 even at t = 1e4
+ROUNDOFF_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,9 @@ class GaussianKernel:
     def gram(self, u):
         return self(u, u)
 
-
-def weighted_gram(kernel, u, sqrt_w):
-    """``D K D`` with ``D = diag(sqrt_w)``, built in two n x n buffers."""
-    gram = kernel.gram(u)
-    return np.multiply(gram, np.outer(sqrt_w, sqrt_w), out=gram)
+    def diag(self, u):
+        """``k(u_s, u_s)`` for each point: ones."""
+        return np.ones(np.shape(u))
 
 
 def median_bandwidth(us, cap: int = PAIR_CAP) -> float:
@@ -105,21 +102,13 @@ def ridge_schedule(t: int, zeta: float = DEFAULT_ZETA) -> float:
     return float(t) ** (-zeta)
 
 
-def _evaluate(kernel, support_u, dual_coeffs, u):
-    """``sum_s k(u_s, u) c_s`` at one point or an array of points."""
-    k = kernel(support_u, np.asarray(u, dtype=float))
-    return k.T @ dual_coeffs if k.ndim == 2 else float(k @ dual_coeffs)
-
-
 @dataclass
 class KrrModel:
     """Fitted dual-form weighted kernel ridge regressor.
 
-    ``chol`` is the ``(c, lower)`` Cholesky pair of the factored system
-    ``D K D + (system_ridge + jitter) I`` and ``fitted`` the in-sample
-    values ``K c``.  ``jitter`` is 0.0 unless the factorization needed its
-    one jitter retry; the model (and any covariance reusing ``chol``) is
-    then the exact solution of that jittered system.
+    ``factor`` is ``L^T`` (r x n), the pivoted-Cholesky factor of ``D K D``;
+    ``inner`` is the ``(c, lower)`` Cholesky pair of the r x r matrix
+    ``system_ridge I + L^T L``; ``fitted`` are the in-sample values ``K c``.
     """
 
     support_u: np.ndarray
@@ -129,9 +118,9 @@ class KrrModel:
     lam: float            # schedule-level ridge as passed to fit()
     t_scale: int          # multiplier applied to lam in the dual system
     kernel: GaussianKernel
-    chol: tuple
+    factor: np.ndarray
+    inner: tuple
     fitted: np.ndarray
-    jitter: float = 0.0
     system_ridge: float = field(init=False)
 
     def __post_init__(self):
@@ -142,46 +131,49 @@ class KrrModel:
         return self.support_u.size
 
     @property
-    def effective_ridge(self) -> float:
-        """Ridge of the equivalent 1/n-normalized problem, ``system_ridge/n``."""
-        return self.system_ridge / self.n_support
+    def rank(self) -> int:
+        """Number of pivoted-Cholesky columns the solve used."""
+        return self.factor.shape[0]
 
     def predict(self, u):
         """Evaluate ``sum_s k(u_s, u) c_s`` at one point or an array."""
-        return _evaluate(self.kernel, self.support_u, self.dual_coeffs, u)
-
-    def fitted_values(self):
-        """In-sample predictions ``K c``, kept from the fit."""
-        return self.fitted
+        k = self.kernel(self.support_u, np.asarray(u, dtype=float))
+        return k.T @ self.dual_coeffs if k.ndim == 2 else float(k @ self.dual_coeffs)
 
 
-@dataclass(frozen=True)
-class LinkPredictor:
-    """The link estimate the policy decides with, from :func:`fit_pivoted`.
+def fit(support_u, support_y, support_w, lam: float, kernel: GaussianKernel,
+        lam_scale: str = "support") -> KrrModel:
+    """Fit the weighted dual system through a pivoted Cholesky factor.
 
-    It carries only what prediction needs and no n x n array, so it cannot
-    stand in for a :class:`KrrModel` in the plug-in covariance.  ``rank`` is
-    the number of pivoted-Cholesky columns the solve used.
+    ``lam_scale='support'`` multiplies ``lam`` by the support size (the
+    ``n * lam`` product of the 1/n-normalized formulation);
+    ``lam_scale='none'`` uses ``lam`` as the raw system ridge.
+
+    ``A = D K D`` is factored greedily as ``L L^T``: each step pivots on the
+    largest entry of the residual diagonal ``diag(A - L L^T)`` (which
+    starts at ``w k(u, u)``) and takes its column from the kernel.  The
+    factor stops growing once the residual trace ``tau`` is at most
+    ``PREDICTION_TOL * ridge * min(1, ridge / (sqrt(sum w) |D y|))``.  The
+    residual is positive semidefinite with norm at most ``tau``, so
+    ``|z - z_exact| <= tau |D y| / ridge^2`` keeps every prediction
+    ``k_v^T D z`` within ``PREDICTION_TOL`` of the exact fit's, and the
+    inverse ``(ridge I + L L^T)^{-1}`` is within ``tau / ridge^2`` of the
+    exact one, which bounds the error of the leverages ``1 - h_s`` by
+    ``PREDICTION_TOL``.  Those bounds are for exact arithmetic; the factor's
+    own round-off, of order machine epsilon times ``r sum(w)``, comes on
+    top.  At r = n the factor is exact.
+
+    Raises :class:`DomainError` when ``eps * sum(w) / ridge`` exceeds
+    ``ROUNDOFF_TOL``: the Woodbury solve then loses about that much of the
+    answer to round-off.
     """
-
-    support_u: np.ndarray
-    dual_coeffs: np.ndarray
-    kernel: GaussianKernel
-    rank: int
-
-    def predict(self, u):
-        """Evaluate ``sum_s k(u_s, u) c_s`` at one point or an array."""
-        return _evaluate(self.kernel, self.support_u, self.dual_coeffs, u)
-
-
-def _support_system(support_u, support_y, support_w, lam, lam_scale):
-    """Validated support arrays and the system ridge ``lam * t_scale``."""
     u = np.asarray(support_u, dtype=float).ravel()
     y = np.asarray(support_y, dtype=float).ravel()
     w = np.asarray(support_w, dtype=float).ravel()
-    if u.size == 0:
+    n = u.size
+    if n == 0:
         raise DomainError("empty support")
-    if u.size != y.size or u.size != w.size:
+    if n != y.size or n != w.size:
         raise DomainError("support arrays must share a length")
     if np.any(w <= 0):
         raise DomainError("support weights must be positive; drop zero-weight rows")
@@ -189,64 +181,18 @@ def _support_system(support_u, support_y, support_w, lam, lam_scale):
         raise DomainError("lam must be positive")
     if lam_scale not in ("support", "none"):
         raise DomainError(f"unknown lam_scale {lam_scale!r}")
-    t_scale = u.size if lam_scale == "support" else 1
-    return u, y, w, t_scale
-
-
-def fit(support_u, support_y, support_w, lam: float, kernel: GaussianKernel,
-        lam_scale: str = "support") -> KrrModel:
-    """Fit the weighted dual system.
-
-    ``lam_scale='support'`` multiplies ``lam`` by the support size (the
-    ``n * lam`` product of the 1/n-normalized formulation);
-    ``lam_scale='none'`` uses ``lam`` as the raw system ridge.
-    """
-    u, y, w, t_scale = _support_system(support_u, support_y, support_w, lam,
-                                       lam_scale)
+    t_scale = n if lam_scale == "support" else 1
     ridge = lam * t_scale
-    sqrt_w = np.sqrt(w)
-    system = weighted_gram(kernel, u, sqrt_w)
-    system[np.diag_indices(u.size)] += ridge
-    chol, jitter = _factor_symmetric(system)
-    z = cho_solve(chol, sqrt_w * y, check_finite=False)
-    fitted = y - (ridge + jitter) * z / sqrt_w
-    return KrrModel(u, y, w, sqrt_w * z, lam, t_scale, kernel, chol, fitted,
-                    jitter)
-
-
-# |f_exact(v) - f_pivoted(v)| <= PREDICTION_TOL at every v (see fit_pivoted)
-PREDICTION_TOL = 1e-10
-
-
-def fit_pivoted(support_u, support_y, support_w, lam: float,
-                kernel: GaussianKernel,
-                lam_scale: str = "support") -> LinkPredictor:
-    """Solve the system of :func:`fit` through a pivoted Cholesky factor.
-
-    ``A = D K D`` is factored greedily as ``L L^T``: each step pivots on the
-    largest entry of the residual diagonal ``diag(A - L L^T)`` (which
-    starts at ``w``, because ``k(u, u) = 1``) and takes its column from the
-    kernel.  The factor stops growing once the residual trace ``tau`` is at
-    most ``PREDICTION_TOL * ridge^2 / (sqrt(sum w) * |D y|)``, and
-    ``(ridge I + L L^T) z = D y`` is then solved through Woodbury with an
-    r x r Cholesky of ``ridge I + L^T L``.  The residual is positive
-    semidefinite with norm at most ``tau``, so ``|z - z_exact| <= tau |D y| /
-    ridge^2`` and every prediction ``k_v^T D z`` is within ``PREDICTION_TOL``
-    of the exact fit's.  That bound is for exact arithmetic; the factor's
-    own round-off, of order machine epsilon times ``r sum(w)``, comes on
-    top.  The cost is O(n r^2); the 1-D Gaussian kernel matrix has a
-    fast-decaying spectrum, so r stays far below n, and at r = n the factor
-    is exact.
-    """
-    u, y, w, t_scale = _support_system(support_u, support_y, support_w, lam,
-                                       lam_scale)
-    ridge = lam * t_scale
-    n = u.size
+    roundoff = np.finfo(float).eps * float(w.sum()) / ridge
+    if not (roundoff <= ROUNDOFF_TOL):
+        raise DomainError(f"ridge {ridge:.3g} too small for weights summing to "
+                          f"{w.sum():.3g}: round-off estimate {roundoff:.2g} "
+                          f"exceeds {ROUNDOFF_TOL:g}")
     sqrt_w = np.sqrt(w)
     rhs = sqrt_w * y
     scale = float(np.sqrt(w.sum()) * np.linalg.norm(rhs))
-    tol = PREDICTION_TOL * ridge * ridge / scale if scale > 0 else np.inf
-    resid = w.copy()
+    tol = PREDICTION_TOL * ridge * ridge / max(scale, ridge)
+    resid = w * kernel.diag(u)
     lt = np.empty((min(n, 32), n))   # L^T: row j is column j of L
     rank = 0
     while rank < n and resid.sum() > tol:
@@ -265,7 +211,8 @@ def fit_pivoted(support_u, support_y, support_w, lam: float,
     lt = lt[:rank]
     inner = lt @ lt.T
     inner[np.diag_indices(rank)] += ridge
-    coef = cho_solve(cho_factor(inner, lower=True, check_finite=False),
-                     lt @ rhs, check_finite=False)
+    inner = cho_factor(inner, lower=True, check_finite=False)
+    coef = cho_solve(inner, lt @ rhs, check_finite=False)
     z = (rhs - lt.T @ coef) / ridge
-    return LinkPredictor(u, sqrt_w * z, kernel, rank)
+    return KrrModel(u, y, w, sqrt_w * z, lam, t_scale, kernel, lt, inner,
+                    y - ridge * z / sqrt_w)

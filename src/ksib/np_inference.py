@@ -4,18 +4,16 @@ Two constructions share the fitted regressor's center:
 
 * ``KSIEGE`` -- the studentized CLT interval.  The plug-in covariance is
   the resolvent sandwich of the weighted residual outer products: with
-  ``A = Sigma_hat + lam I`` (the fit's own 1/n-normalized operator) the
-  variance of the evaluation functional at ``x`` is estimated by
-  ``sum_s w_s r_s^2 v_x[s]^2`` where ``v_x[s] = (A^{-1} k_s)(x)``, all in
-  dual coordinates.  With the default ``lam`` (the fit's own effective
-  ridge) ``S = (1/n) D K D + lam I`` is ``M/n`` for the fit's system
-  matrix ``M = D K D + n lam I``, so the covariance reuses the fit's
-  Cholesky factor, ``chol(S) = chol(M)/sqrt(n)``, and factors nothing.
-  The leave-one-out leverages follow from the same factor: since
-  ``(1/n) D K D S^{-1} = I - lam S^{-1}``, the smoother leverage satisfies
-  ``1 - h_s = lam [S^{-1}]_ss``, the squared norm of column s of
-  ``chol(S)^{-1}`` times ``lam`` -- one triangular inverse instead of
-  solving against the identity.
+  ``S = (1/n) D K D + lam I`` (the fit's own 1/n-normalized operator, so
+  ``lam = ridge / n``) the variance of the evaluation functional at ``x``
+  is estimated by ``sum_s w_s r_s^2 v_x[s]^2`` where ``v_x = D^{-1} S^{-1}
+  D k_x``, all in dual coordinates.  Everything comes from the fit's
+  low-rank factors through Woodbury, with no n x n array: ``D K D`` is
+  replaced by ``L L^T``, and with ``ridge I + L^T L = R R^T`` and ``G =
+  R^{-1} L^T`` (r x n), ``S^{-1} = (n / ridge) (I - G^T G)``.  The
+  leave-one-out leverages follow from the same ``G``: since ``(1/n) D K D
+  S^{-1} = I - lam S^{-1}``, the smoother leverage satisfies ``1 - h_s =
+  lam [S^{-1}]_ss = 1 - |G e_s|^2``.
 
 * ``AS`` -- a conservative uniform-band interval whose half-width is the
   closed form ``2 sqrt(2) kappa c (2 r_tilde / eta)^theta`` driven by the
@@ -28,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg import solve_triangular
 
-from .errors import DomainError, SingularityError
-from .kernel_ridge import KrrModel, weighted_gram
+from .errors import DomainError
+from .kernel_ridge import KrrModel
 from .numerics import normal_quantile
 
 DEFAULT_GAMMA = 0.5
@@ -50,15 +47,16 @@ class NpCovariance:
     ``P = ((1/n) W K + lam I)^{-1}`` and ``R = diag(w_s^2 r_s^2)``.  The
     squared realized weight is what makes the sum over pulled rounds an
     unbiased plug-in for the (1/p)-weighted predictable variation: for the
-    pull indicator, ``E[1{a} w^2 z] = E[w z]``.  Only the Cholesky factor of
-    the symmetrized resolvent is cached; M is materialized on demand.
+    pull indicator, ``E[1{a} w^2 z] = E[w z]``.  Only ``G`` (r x n) is
+    cached.  ``one_minus_h`` holds the leave-one-out denominators
+    ``1 - h_s`` before any clipping.
     """
 
     model: KrrModel
     gamma: float
-    lam: float
     scale: float
-    _chol: tuple
+    one_minus_h: np.ndarray
+    _g: np.ndarray
     _sqrt_w: np.ndarray
     _resid: np.ndarray
     n_leverage_clipped: int = 0
@@ -66,9 +64,10 @@ class NpCovariance:
     def _v(self, u):
         """``v_x = W^{-1/2} S^{-1} W^{1/2} k_x`` for one point or a batch."""
         k = self.model.kernel(self.model.support_u, np.asarray(u, dtype=float))
-        rhs = self._sqrt_w[:, None] * k if k.ndim == 2 else self._sqrt_w * k
-        sol = cho_solve(self._chol, rhs, check_finite=False)
-        return (sol.T / self._sqrt_w).T if k.ndim == 2 else sol / self._sqrt_w
+        sqrt_w = self._sqrt_w[:, None] if k.ndim == 2 else self._sqrt_w
+        rhs = sqrt_w * k
+        sol = rhs - self._g.T @ (self._g @ rhs)
+        return (self.model.n_support / self.model.system_ridge) * sol / sqrt_w
 
     def d2(self, u) -> float:
         """Squared studentizer ``scale * sum_s w_s^2 r_s^2 v_x[s]^2``."""
@@ -77,11 +76,6 @@ class NpCovariance:
         if v.ndim == 2:
             return self.scale * (weights @ v ** 2)
         return float(self.scale * np.sum(weights * v ** 2))
-
-    def core_matrix(self) -> np.ndarray:
-        """Materialize M (for diagnostics; symmetric PSD by construction)."""
-        c = cho_solve(self._chol, np.diag(self._sqrt_w), check_finite=False)
-        return c.T @ np.diag(self.model.support_w * self._resid ** 2) @ c
 
 
 @dataclass
@@ -98,30 +92,13 @@ class PointwiseCi:
     clamped: bool = False
 
 
-def _loo_denominators(chol, lam: float) -> np.ndarray:
-    """``1 - h_s = lam [S^{-1}]_ss`` from the factor ``S = L L^T``.
-
-    ``[S^{-1}]_ss`` is the squared norm of column s of ``L^{-1}``, i.e. of
-    row s of ``L^{-T}``, taken from one triangular inverse (about n^3/3
-    flops).  ``tril(L).T`` is Fortran-ordered, so LAPACK inverts it in place.
-    """
-    u_inv, info = dtrtri(np.tril(chol[0]).T, lower=0, overwrite_c=1)
-    if info != 0:
-        raise SingularityError("covariance factor has a zero pivot")
-    return lam * np.einsum("ij,ij->i", u_inv, u_inv)
-
-
 def build_covariance(model: KrrModel, gamma: float = DEFAULT_GAMMA,
-                     lam: float | None = None,
                      residual_mode: str = "raw") -> NpCovariance:
     """Plug-in covariance of the fitted regressor in dual form.
 
-    ``lam`` defaults to the model's own effective ridge so the resolvent in
-    the sandwich matches the estimator it studentizes, and the fit's
-    Cholesky factor is reused (it carries the fit's jitter, if any, so the
-    sandwich then studentizes the jittered system).  Passing a different
-    value is allowed but decouples the two and factors ``S`` afresh.
-    ``scale`` is ``n^(2 gamma - 2)`` with ``n`` the support size.
+    The resolvent in the sandwich is the fit's own, so the covariance
+    studentizes exactly the estimator it is built from and reuses its
+    factors.  ``scale`` is ``n^(2 gamma - 2)`` with ``n`` the support size.
 
     ``residual_mode='loo'`` inflates each residual to its leave-one-out
     value ``r_s / (1 - h_s)`` (``h_s`` the smoother leverage).  With decaying
@@ -129,35 +106,19 @@ def build_covariance(model: KrrModel, gamma: float = DEFAULT_GAMMA,
     interpolated, which zeroes their raw residuals exactly where the fit
     leans on them; the jackknife form keeps the plug-in consistent there.
     """
-    if not isinstance(model, KrrModel):
-        raise TypeError("build_covariance needs a KrrModel from kernel_ridge.fit, "
-                        f"got {type(model).__name__}")
     if residual_mode not in ("raw", "loo"):
         raise DomainError(f"unknown residual_mode {residual_mode!r}")
-    n = model.n_support
-    sqrt_w = np.sqrt(model.support_w)
-    if lam is None:
-        lam = (model.system_ridge + model.jitter) / n
-        c, low = model.chol
-        chol = (c / np.sqrt(n), low)
-    else:
-        if not (lam > 0):
-            raise DomainError("lam must be positive")
-        s = weighted_gram(model.kernel, model.support_u, sqrt_w)
-        s /= n
-        s[np.diag_indices(n)] += lam
-        try:
-            chol = cho_factor(s, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise SingularityError("covariance operator not PD after ridge") from exc
-    resid = model.support_y - model.fitted_values()
+    c, lower = model.inner
+    g = solve_triangular(c, model.factor, lower=lower, check_finite=False)
+    one_minus_h = 1.0 - np.einsum("ij,ij->j", g, g)
+    resid = model.support_y - model.fitted
     clipped = 0
     if residual_mode == "loo":
-        one_minus_h = _loo_denominators(chol, lam)
         clipped = int(np.count_nonzero(one_minus_h < 0.05))
         resid = resid / np.clip(one_minus_h, 0.05, None)
-    scale = float(n) ** (2.0 * gamma - 2.0)
-    return NpCovariance(model, gamma, lam, scale, chol, sqrt_w, resid, clipped)
+    scale = float(model.n_support) ** (2.0 * gamma - 2.0)
+    return NpCovariance(model, gamma, scale, one_minus_h, g,
+                        np.sqrt(model.support_w), resid, clipped)
 
 
 def pointwise_ci(model: KrrModel, cov: NpCovariance, u: float, alpha: float,

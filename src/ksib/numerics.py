@@ -84,12 +84,7 @@ def factor_spd(a, ridge: float = 0.0):
     a = _check_symmetric(a, "A")
     if ridge < 0:
         raise DomainError("ridge must be nonnegative")
-    return _factor_symmetric(a if ridge == 0.0 else a + ridge * np.eye(a.shape[0]))
-
-
-def _factor_symmetric(m: np.ndarray):
-    """:func:`factor_spd` of a matrix that is symmetric by construction and
-    already carries its ridge; ``m`` is not checked and not modified."""
+    m = a if ridge == 0.0 else a + ridge * np.eye(a.shape[0])
     jitter = 0.0
     for attempt in range(2):
         try:

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import StateError
 from .index_estimation import (DEFAULT_LAMBDA_BETA, DEFAULT_P_MIN,
                                IndexAccumulator, IndexEstimate)
-from .kernel_ridge import (DEFAULT_ZETA, GaussianKernel, LinkPredictor,
-                           fit_pivoted, median_bandwidth, ridge_schedule)
+from .kernel_ridge import (DEFAULT_ZETA, GaussianKernel, KrrModel, fit,
+                           median_bandwidth, ridge_schedule)
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class ArmState:
     ys: list = field(default_factory=list)
     props: list = field(default_factory=list)
     estimate: IndexEstimate | None = None
-    model: LinkPredictor | None = None
+    model: KrrModel | None = None
     bandwidth: float | None = None
     bandwidth_n: int = 0
 
@@ -155,9 +155,8 @@ class EpsilonGreedyPolicy:
             state.bandwidth_n = n
         lam, scale = self.config.link_ridge(self.t, n)
         w = 1.0 / np.maximum(np.asarray(state.props), self.config.p_min)
-        state.model = fit_pivoted(u, np.asarray(state.ys), w, lam,
-                                  GaussianKernel(state.bandwidth),
-                                  lam_scale=scale)
+        state.model = fit(u, np.asarray(state.ys), w, lam,
+                          GaussianKernel(state.bandwidth), lam_scale=scale)
 
     def step(self, x, reward_fn) -> RoundRecord:
         """Advance one round: select, observe the pulled arm's reward, update."""

@@ -93,14 +93,11 @@ class EmpiricalWhiteningScore:
             raise StateError("covariance undefined with fewer than 2 observations")
         return self._m2 / (self.count - 1)
 
-    def _effective_ridge(self, cov: np.ndarray) -> float:
-        if self.ridge is not None:
-            return self.ridge
-        return 1e-8 * float(np.trace(cov)) / self.dim
-
     def score(self, x):
         cov = self.covariance
-        ridge = self._effective_ridge(cov)
+        ridge = self.ridge
+        if ridge is None:
+            ridge = 1e-8 * float(np.trace(cov)) / self.dim
         if ridge == 0.0 and min_eigenvalue(cov) <= 0.0:
             raise SingularityError(
                 "whitening covariance singular; supply a positive ridge",

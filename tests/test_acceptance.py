@@ -236,6 +236,9 @@ class TestCriterion7:
             def gram(self, u):
                 return self(u, u)
 
+            def diag(self, u):
+                return 1.0 + np.square(u)
+
         rng = np.random.default_rng(78)
         worst = 0.0
         for _ in range(100):

@@ -148,6 +148,26 @@ class TestInferReplay:
         err = capsys.readouterr().err
         assert "pulled_arm" in err
 
+    HEADER = "t,x0,greedy_arm,pulled_arm,propensity,reward,epsilon\n"
+    GOOD_ROW = "1,0.5,0,0,0.5,1.0,0.5\n"
+
+    def test_non_numeric_cell_names_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(self.HEADER + self.GOOD_ROW + "2,abc,0,1,0.5,0.0,0.5\n")
+        assert main(["infer", "--log", str(bad), "--arm", "0",
+                     "--t", "60"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: audit log line 3:")
+        assert "abc" in err
+
+    def test_short_row_names_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(self.HEADER + self.GOOD_ROW + "2,0.1,0,1\n")
+        assert main(["infer", "--log", str(bad), "--arm", "0",
+                     "--t", "60"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: audit log line 3: 4 cells, expected 7")
+
 
 def two_cluster_csv(path, n=900, seed=0):
     """Separable single-index fixture: label = sign of a projection."""

@@ -55,8 +55,12 @@ class TestScenario:
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Scenario)])
     def test_validation_rejects_wrong_type(self, field):
         annotation = {f.name: f.type for f in dataclasses.fields(Scenario)}[field]
-        with pytest.raises(ConfigError, match=field):
-            Scenario(**{field: WRONG_TYPE[annotation]}).validate()
+        bad = [WRONG_TYPE[annotation]]
+        if annotation == "float":
+            bad += [float("nan"), float("inf"), -float("inf")]
+        for value in bad:
+            with pytest.raises(ConfigError, match=field):
+                Scenario(**{field: value}).validate()
 
     @pytest.mark.parametrize("bad", [{"d": True}, {"reps": 2.0},
                                      {"inference_times": (200, "999")},

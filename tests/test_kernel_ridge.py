@@ -1,17 +1,14 @@
 """Weighted kernel ridge regression in dual form, against primal oracles."""
 
-import dataclasses
-
 import numpy as np
 import pytest
+from dense_krr import DenseKrr
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor
 
 from ksib.errors import DomainError
-from ksib.kernel_ridge import (GaussianKernel, LinkPredictor, fit, fit_pivoted,
-                               median_bandwidth, ridge_schedule,
-                               weighted_gram)
+from ksib.kernel_ridge import (GaussianKernel, fit, median_bandwidth,
+                               ridge_schedule)
 
 
 class LinearFeatureKernel:
@@ -29,12 +26,17 @@ class LinearFeatureKernel:
     def gram(self, u):
         return self(u, u)
 
+    def diag(self, u):
+        return 1.0 + np.square(u)
+
 
 class TestKernel:
     def test_unit_diagonal(self):
         k = GaussianKernel(0.7)
         for u in (-3.0, 0.0, 5.5):
             assert k(u, u) == pytest.approx(1.0)
+        u = np.array([-3.0, 0.0, 5.5])
+        np.testing.assert_array_equal(k.diag(u), np.diag(k.gram(u)))
 
     def test_symmetric_and_bounded(self):
         k = GaussianKernel(1.3)
@@ -137,6 +139,8 @@ class TestFit:
             fit([0.0], [1.0], [0.0], 0.1, GaussianKernel(1.0))
         with pytest.raises(DomainError):
             fit([], [], [], 0.1, GaussianKernel(1.0))
+        with pytest.raises(DomainError):
+            fit([0.0], [1.0], [1.0], 0.1, GaussianKernel(1.0), "bogus")
 
     def test_lam_scale_none(self):
         u = np.array([0.0, 1.0])
@@ -157,28 +161,29 @@ class TestFitCache:
             u = rng.normal(size=n)
             m = fit(u, rng.normal(size=n), rng.uniform(1.0, 50.0, size=n),
                     float(rng.uniform(1e-3, 1.0)), k, lam_scale)
-            np.testing.assert_allclose(m.fitted_values(),
-                                       k.gram(u) @ m.dual_coeffs, rtol=0,
-                                       atol=1e-10)
+            np.testing.assert_allclose(m.fitted, k.gram(u) @ m.dual_coeffs,
+                                       rtol=0, atol=1e-10)
 
     def test_factor_is_of_the_system_matrix(self):
         rng = np.random.default_rng(8)
         u, w = rng.normal(size=6), rng.uniform(1, 4, size=6)
         k = GaussianKernel(1.0)
         m = fit(u, rng.normal(size=6), w, 0.2, k)
-        l = np.tril(m.chol[0])
-        system = k.gram(u) * np.outer(np.sqrt(w), np.sqrt(w)) + \
-            m.system_ridge * np.eye(6)
-        np.testing.assert_allclose(l @ l.T, system, atol=1e-12)
-        assert m.jitter == 0.0
+        lt = m.factor
+        np.testing.assert_allclose(lt.T @ lt,
+                                   k.gram(u) * np.outer(np.sqrt(w), np.sqrt(w)),
+                                   atol=1e-12)
+        r = np.tril(m.inner[0])
+        np.testing.assert_allclose(r @ r.T, lt @ lt.T + m.system_ridge *
+                                   np.eye(m.rank), atol=1e-12)
 
-    def test_jitter_retry_recorded(self):
-        # duplicate points with a negligible ridge: D K D + ridge I is
-        # singular in floating point and only the jitter retry factors it
-        m = fit([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 1e-300, GaussianKernel(1.0),
-                lam_scale="none")
-        assert m.jitter == pytest.approx(1e-10)
-        np.testing.assert_allclose(m.fitted_values(), [1.0, 1.0], atol=1e-9)
+    def test_tiny_ridge_refused(self):
+        # duplicate points with a negligible ridge: the Woodbury solve would
+        # divide a cancelled difference by the ridge and answer 4.4e4 or more
+        for lam in (1e-300, 1e-20):
+            with pytest.raises(DomainError, match="round-off"):
+                fit([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], lam,
+                    GaussianKernel(1.0), lam_scale="none")
 
 
 class TestPredict:
@@ -208,23 +213,7 @@ class TestPredict:
             assert batch[i] == pytest.approx(m.predict(float(u)), abs=1e-14)
 
 
-def old_weighted_gram(u, bandwidth, w):
-    """The expression ``fit`` used before it built the matrix in place."""
-    diff = np.subtract.outer(u, u)
-    sqrt_w = np.sqrt(w)
-    return np.exp(-0.5 * (diff / bandwidth) ** 2) * np.outer(sqrt_w, sqrt_w)
-
-
 class TestSystemMatrix:
-    @pytest.mark.parametrize("n", [1, 2, 7, 300])
-    def test_weighted_gram_bit_identical_to_old_expression(self, n):
-        rng = np.random.default_rng(n)
-        u = 3.0 * rng.normal(size=n)
-        w = 1.0 / rng.uniform(1e-3, 1.0, size=n)
-        k = GaussianKernel(0.37)
-        assert np.array_equal(weighted_gram(k, u, np.sqrt(w)),
-                              old_weighted_gram(u, 0.37, w))
-
     def test_kernel_bit_identical_to_old_formula(self):
         rng = np.random.default_rng(1)
         u, v = rng.normal(size=9), rng.normal(size=4)
@@ -235,16 +224,6 @@ class TestSystemMatrix:
         scalar = k(0.3, -0.2)
         assert isinstance(scalar, np.float64)
         assert scalar == np.exp(-0.5 * ((0.3 - -0.2) / 0.8) ** 2)
-
-    def test_fit_factors_the_old_system_bit_for_bit(self):
-        rng = np.random.default_rng(2)
-        n = 60
-        u, w = rng.normal(size=n), 1.0 / rng.uniform(0.01, 1.0, size=n)
-        m = fit(u, rng.normal(size=n), w, 0.3, GaussianKernel(0.5),
-                lam_scale="support")
-        old = cho_factor(old_weighted_gram(u, 0.5, w) + m.system_ridge * np.eye(n),
-                         lower=True, check_finite=False)
-        assert np.array_equal(np.tril(m.chol[0]), np.tril(old[0]))
 
 
 @st.composite
@@ -269,6 +248,8 @@ def supports(draw):
 
 
 class TestFitPivoted:
+    """The pivoted-Cholesky solve against the dense one."""
+
     # lam covers the default ridge schedule t^-0.05 up to t = 3e10
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(supports(), st.sampled_from(["none", "support"]),
@@ -276,9 +257,8 @@ class TestFitPivoted:
     def test_predictions_match_exact_fit(self, support, lam_scale, lam):
         u, y, w, bandwidth = support
         k = GaussianKernel(bandwidth)
-        exact = fit(u, y, w, lam, k, lam_scale)
-        pivoted = fit_pivoted(u, y, w, lam, k, lam_scale)
-        assert exact.jitter == 0.0
+        exact = DenseKrr(u, y, w, lam, k, lam_scale)
+        pivoted = fit(u, y, w, lam, k, lam_scale)
         grid = np.concatenate([np.linspace(-4.0, 4.0, 161), u])
         np.testing.assert_allclose(pivoted.predict(grid), exact.predict(grid),
                                    rtol=0, atol=1e-9)
@@ -289,17 +269,17 @@ class TestFitPivoted:
         y = np.linspace(-1.0, 1.0, n)
         w = np.full(n, 1e3)
         for lam_scale in ("none", "support"):
-            exact = fit(u, y, w, 0.7, GaussianKernel(0.5), lam_scale)
-            pivoted = fit_pivoted(u, y, w, 0.7, GaussianKernel(0.5), lam_scale)
+            exact = DenseKrr(u, y, w, 0.7, GaussianKernel(0.5), lam_scale)
+            pivoted = fit(u, y, w, 0.7, GaussianKernel(0.5), lam_scale)
             assert pivoted.predict(0.1) == pytest.approx(exact.predict(0.1),
                                                          abs=1e-12)
 
     def test_far_apart_points_need_full_rank(self):
         u = np.arange(40, dtype=float) * 100.0
         y = np.cos(u)
-        pivoted = fit_pivoted(u, y, np.ones(40), 0.5, GaussianKernel(1.0), "none")
+        pivoted = fit(u, y, np.ones(40), 0.5, GaussianKernel(1.0), "none")
         assert pivoted.rank == 40
-        exact = fit(u, y, np.ones(40), 0.5, GaussianKernel(1.0), "none")
+        exact = DenseKrr(u, y, np.ones(40), 0.5, GaussianKernel(1.0), "none")
         np.testing.assert_allclose(pivoted.dual_coeffs, exact.dual_coeffs,
                                    rtol=0, atol=1e-12)
 
@@ -308,27 +288,21 @@ class TestFitPivoted:
         u = rng.normal(size=800)
         w = 1.0 / np.where(rng.uniform(size=800) < 0.1, 0.005, 0.9)
         k = GaussianKernel(median_bandwidth(u))
-        pivoted = fit_pivoted(u, np.sin(u), w, 0.7, k, "none")
+        pivoted = fit(u, np.sin(u), w, 0.7, k, "none")
         assert pivoted.rank <= 40
 
     def test_zero_rewards_give_zero_coefficients(self):
-        pivoted = fit_pivoted([0.0, 1.0], [0.0, 0.0], [1.0, 2.0], 0.5,
-                              GaussianKernel(1.0))
-        assert pivoted.rank == 0
+        pivoted = fit([0.0, 1.0], [0.0, 0.0], [1.0, 2.0], 0.5,
+                      GaussianKernel(1.0))
+        assert np.all(pivoted.dual_coeffs == 0.0)
         assert pivoted.predict(0.5) == 0.0
 
     def test_holds_no_square_array(self):
         rng = np.random.default_rng(4)
-        pivoted = fit_pivoted(rng.normal(size=30), rng.normal(size=30),
-                              np.ones(30), 0.5, GaussianKernel(1.0))
-        assert isinstance(pivoted, LinkPredictor)
-        for f in dataclasses.fields(pivoted):
-            assert np.ndim(getattr(pivoted, f.name)) <= 1
-
-    def test_validates_like_fit(self):
-        with pytest.raises(DomainError):
-            fit_pivoted([0.0], [1.0], [0.0], 0.1, GaussianKernel(1.0))
-        with pytest.raises(DomainError):
-            fit_pivoted([], [], [], 0.1, GaussianKernel(1.0))
-        with pytest.raises(DomainError):
-            fit_pivoted([0.0], [1.0], [1.0], 0.1, GaussianKernel(1.0), "bogus")
+        n = 30
+        pivoted = fit(rng.normal(size=n), rng.normal(size=n), np.ones(n), 0.5,
+                      GaussianKernel(1.0))
+        assert pivoted.rank < n
+        arrays = [v for v in vars(pivoted).values() if isinstance(v, np.ndarray)]
+        for a in arrays + [pivoted.inner[0]]:
+            assert a.shape.count(n) <= 1

@@ -1,16 +1,19 @@
 """Pointwise link-function intervals: covariance core, CLT and band forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from dense_krr import DenseKrr
 
-import ksib.np_inference as np_inference
 from ksib.errors import DomainError
-from ksib.kernel_ridge import GaussianKernel, fit, fit_pivoted
-from ksib.np_inference import (METHOD_BAND, METHOD_CLT, _loo_denominators,
-                               as_band_ci, build_covariance,
-                               calibrate_band_constant,
+from ksib.harness import Scenario, inference_snapshot, run_trajectory
+from ksib.kernel_ridge import (GaussianKernel, fit, median_bandwidth,
+                               ridge_schedule)
+from ksib.np_inference import (METHOD_BAND, METHOD_CLT, as_band_ci,
+                               build_covariance, calibrate_band_constant,
                                exploration_coefficient, pointwise_ci)
-from ksib.numerics import min_eigenvalue, normal_quantile
+from ksib.numerics import normal_quantile
 
 
 def fitted_model(rng, n=12, wmax=6.0, bw=1.0, lam=0.4):
@@ -20,19 +23,18 @@ def fitted_model(rng, n=12, wmax=6.0, bw=1.0, lam=0.4):
     return fit(u, y, w, lam, GaussianKernel(bw), lam_scale="none")
 
 
-class TestBuildCovariance:
-    def test_rejects_the_policy_link_predictor(self):
-        predictor = fit_pivoted([0.0, 1.0], [1.0, -1.0], [1.0, 1.0], 0.5,
-                                GaussianKernel(1.0))
-        with pytest.raises(TypeError, match="KrrModel"):
-            build_covariance(predictor)
+def oracle(model):
+    """The dense solve of ``model``'s system."""
+    return DenseKrr(model.support_u, model.support_y, model.support_w,
+                    model.system_ridge, model.kernel, lam_scale="none")
 
+
+class TestBuildCovariance:
     def test_single_point_worked_chain(self):
-        # fit: c = 1/(1+1) so prediction 1/2, residual 1/2, core 1/16
+        # fit: c = 1/(1+1) so prediction 1/2, residual 1/2, S = 2, v = 1/2,
+        # core w^2 r^2 v^2 = 1/16
         m = fit([0.0], [1.0], [1.0], 1.0, GaussianKernel(1.0))
-        cov = build_covariance(m, gamma=0.5, lam=1.0)
-        np.testing.assert_allclose(cov.core_matrix(), [[1.0 / 16.0]],
-                                   atol=1e-14)
+        cov = build_covariance(m, gamma=0.5)
         assert cov.d2(0.0) == pytest.approx(1.0 / 16.0)
 
     def test_perfect_fit_zero_core(self):
@@ -40,8 +42,8 @@ class TestBuildCovariance:
         rng = np.random.default_rng(0)
         u = np.linspace(-1, 1, 5)
         y = rng.normal(size=5)
-        m = fit(u, y, np.ones(5), 1e-12, GaussianKernel(1.0))
-        cov = build_covariance(m, 0.5, lam=1e-8)
+        m = fit(u, y, np.ones(5), 1e-10, GaussianKernel(1.0))
+        cov = build_covariance(m, 0.5)
         assert cov.d2(0.3) == pytest.approx(0.0, abs=1e-8)
 
     def test_reward_scaling_homogeneity(self):
@@ -55,11 +57,10 @@ class TestBuildCovariance:
         d2_scaled = build_covariance(fit(u, c * y, w, 0.3, k), 0.5).d2(0.1)
         assert d2_scaled == pytest.approx(c * c * d2_base, rel=1e-9)
 
-    def test_core_matrix_psd_and_d2_nonnegative(self):
+    def test_d2_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             cov = build_covariance(fitted_model(rng), 0.5)
-            assert min_eigenvalue(cov.core_matrix()) >= -1e-10
             for u in rng.normal(size=20):
                 assert cov.d2(float(u)) >= -1e-12
 
@@ -81,15 +82,6 @@ class TestBuildCovariance:
             assert batch[i] == pytest.approx(cov.d2(float(u)), rel=1e-12)
 
 
-def explicit_leverage(model, lam):
-    """Smoother leverage by the explicit inverse ``diag(D K D S^{-1})/n``."""
-    n = model.n_support
-    sqrt_w = np.sqrt(model.support_w)
-    gram_w = model.kernel.gram(model.support_u) * np.outer(sqrt_w, sqrt_w)
-    s_inv = np.linalg.inv(gram_w / n + lam * np.eye(n))
-    return np.einsum("ij,ji->i", gram_w, s_inv) / n
-
-
 class TestSharedFactor:
     @pytest.mark.parametrize("lam_scale", ["support", "none"])
     def test_loo_leverage_matches_explicit_inverse(self, lam_scale):
@@ -100,42 +92,61 @@ class TestSharedFactor:
                     rng.uniform(1.0, 50.0, size=n),
                     float(rng.uniform(1e-3, 0.5)),
                     GaussianKernel(float(rng.uniform(0.3, 2.0))), lam_scale)
-            for lam in (None, 0.07):
-                cov = build_covariance(m, 0.5, lam=lam, residual_mode="loo")
-                h = 1.0 - _loo_denominators(cov._chol, cov.lam)
-                np.testing.assert_allclose(h, explicit_leverage(m, cov.lam),
-                                           rtol=0, atol=1e-10)
-
-    def test_default_lam_factors_nothing(self, monkeypatch):
-        def no_factor(*args, **kwargs):
-            raise AssertionError("cho_factor called")
-
-        rng = np.random.default_rng(11)
-        m = fitted_model(rng, n=30, lam=0.05)
-        monkeypatch.setattr(np_inference, "cho_factor", no_factor)
-        for mode in ("raw", "loo"):
-            build_covariance(m, 0.5, residual_mode=mode)
-        with pytest.raises(AssertionError):
-            build_covariance(m, 0.5, lam=0.1)
+            cov = build_covariance(m, 0.5, residual_mode="loo")
+            np.testing.assert_allclose(cov.one_minus_h, oracle(m).one_minus_h(),
+                                       rtol=0, atol=1e-10)
 
     def test_reused_factor_matches_fresh_factorization(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
             m = fitted_model(rng, n=25, lam=0.02)
-            shared = build_covariance(m, 0.5, residual_mode="loo")
-            fresh = build_covariance(m, 0.5, lam=m.effective_ridge,
-                                     residual_mode="loo")
-            assert shared.lam == fresh.lam
-            np.testing.assert_allclose(shared._resid, fresh._resid, rtol=1e-10)
+            dense = oracle(m)
             us = rng.normal(size=5)
-            np.testing.assert_allclose(shared.d2(us), fresh.d2(us), rtol=1e-9)
+            for mode in ("raw", "loo"):
+                shared = build_covariance(m, 0.5, residual_mode=mode)
+                np.testing.assert_allclose(shared.d2(us),
+                                           dense.d2(us, 0.5, mode), rtol=1e-9)
 
-    def test_jittered_fit_studentizes_jittered_system(self):
-        m = fit([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 1e-300, GaussianKernel(1.0),
-                lam_scale="none")
-        cov = build_covariance(m, 0.5)
-        assert m.jitter > 0.0
-        assert cov.lam == pytest.approx((m.system_ridge + m.jitter) / 2)
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("scenario", [dict(d=2, sigma=0.05),
+                                          dict(d=5, sigma=0.20)])
+    def test_every_snapshot_of_a_seeded_trajectory(self, scenario):
+        sc = Scenario(T=1000, reps=1, seed=4, **scenario)
+        log, _, _, _ = run_trajectory(sc, 0)
+        for t in sc.inference_times:
+            for arm in range(sc.n_arms):
+                snap = inference_snapshot(log, t, arm, sc)
+                cov, dense = snap.covariance, oracle(snap.model)
+                np.testing.assert_allclose(snap.model.dual_coeffs,
+                                           dense.dual_coeffs, rtol=0, atol=1e-9)
+                np.testing.assert_allclose(cov.one_minus_h, dense.one_minus_h(),
+                                           rtol=0, atol=1e-10)
+                u = float(log.contexts[t] @ snap.direction)
+                assert cov.d2(u) == pytest.approx(
+                    dense.d2(u, sc.gamma, sc.np_residual_mode)[0], rel=1e-9)
+
+    def test_snapshot_sized_covariance_holds_no_square_array(self):
+        # the support of a t = 1e4 easy snapshot: one n x n float array
+        # alone would take 417 MB
+        rng = np.random.default_rng(0)
+        n = 7219
+        u = rng.normal(size=n)
+        props = np.where(rng.uniform(size=n) < 0.05,
+                         rng.uniform(1e-4, 0.01, size=n), 0.995)
+        w = 1.0 / np.maximum(props, 1e-3)
+        y = 0.6 + 0.4 * np.tanh(u) + 0.05 * rng.normal(size=n)
+        kernel = GaussianKernel(median_bandwidth(u))
+        tracemalloc.start()
+        try:
+            m = fit(u, y, w, ridge_schedule(9999), kernel, lam_scale="none")
+            cov = build_covariance(m, 0.5, residual_mode="loo")
+            d2 = cov.d2(np.linspace(-2.0, 2.0, 64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(d2 >= 0.0)
+        assert peak < 100e6
 
 
 class TestLeverageClipCount:
@@ -146,7 +157,7 @@ class TestLeverageClipCount:
             m = fit(u, rng.normal(size=15), np.ones(15), lam,
                     GaussianKernel(0.3), lam_scale="none")
             cov = build_covariance(m, 0.5, residual_mode="loo")
-            expected = int(np.sum(1.0 - explicit_leverage(m, cov.lam) < 0.05))
+            expected = int(np.sum(oracle(m).one_minus_h() < 0.05))
             assert cov.n_leverage_clipped == expected
             assert (expected > 0) == expect_some
             assert build_covariance(m, 0.5).n_leverage_clipped == 0

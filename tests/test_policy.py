@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from ksib import kernel_ridge
+from dense_krr import DenseKrr
 from ksib import policy as policy_module
 from ksib.environment import SyntheticEnv, sample_canonical_betas
 from ksib.errors import StateError
@@ -177,7 +177,7 @@ class TestDeterminism:
 
 
 class TestPivotedRefit:
-    """The policy's pivoted-Cholesky refit decides exactly as the dense fit."""
+    """The policy's pivoted-Cholesky refit decides exactly as a dense solve."""
 
     @pytest.mark.parametrize("scenario", [
         dict(d=2, sigma=0.05),
@@ -187,7 +187,7 @@ class TestPivotedRefit:
         sc = Scenario(T=1000, reps=1, seed=4, **scenario)
         log, _, ledger, _ = run_trajectory(sc, rep)
         with monkeypatch.context() as m:
-            m.setattr(policy_module, "fit_pivoted", kernel_ridge.fit)
+            m.setattr(policy_module, "fit", DenseKrr)
             exact_log, _, exact_ledger, _ = run_trajectory(sc, rep)
         assert np.bincount(log.arm).max() > 200
         np.testing.assert_array_equal(log.greedy, exact_log.greedy)
