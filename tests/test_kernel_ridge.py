@@ -139,8 +139,6 @@ class TestFit:
             fit([0.0], [1.0], [0.0], 0.1, GaussianKernel(1.0))
         with pytest.raises(DomainError):
             fit([], [], [], 0.1, GaussianKernel(1.0))
-        with pytest.raises(DomainError):
-            fit([0.0], [1.0], [1.0], 0.1, GaussianKernel(1.0), "bogus")
 
     def test_lam_scale_none(self):
         u = np.array([0.0, 1.0])
@@ -306,3 +304,11 @@ class TestFitPivoted:
         arrays = [v for v in vars(pivoted).values() if isinstance(v, np.ndarray)]
         for a in arrays + [pivoted.inner[0]]:
             assert a.shape.count(n) <= 1
+
+    def test_validates_like_fit(self):
+        with pytest.raises(DomainError):
+            fit([0.0], [1.0], [0.0], 0.1, GaussianKernel(1.0))
+        with pytest.raises(DomainError):
+            fit([], [], [], 0.1, GaussianKernel(1.0))
+        with pytest.raises(DomainError):
+            fit([0.0], [1.0], [1.0], 0.1, GaussianKernel(1.0), "bogus")

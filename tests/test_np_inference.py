@@ -4,8 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from dense_krr import DenseKrr
 
+import ksib.kernel_ridge as kernel_ridge
 from ksib.errors import DomainError
 from ksib.harness import Scenario, inference_snapshot, run_trajectory
 from ksib.kernel_ridge import (GaussianKernel, fit, median_bandwidth,
@@ -95,6 +97,23 @@ class TestSharedFactor:
             cov = build_covariance(m, 0.5, residual_mode="loo")
             np.testing.assert_allclose(cov.one_minus_h, oracle(m).one_minus_h(),
                                        rtol=0, atol=1e-10)
+
+    def test_default_lam_factors_nothing(self, monkeypatch):
+        # the covariance studentizes at the fit's own ridge through the
+        # fit's factors, so it runs with every Cholesky routine disabled
+        def no_factor(*args, **kwargs):
+            raise AssertionError("Cholesky factorization called")
+
+        rng = np.random.default_rng(11)
+        m = fitted_model(rng, n=30, lam=0.05)
+        monkeypatch.setattr(kernel_ridge, "cho_factor", no_factor)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", no_factor)
+        monkeypatch.setattr(scipy.linalg, "cholesky", no_factor)
+        monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+        for mode in ("raw", "loo"):
+            build_covariance(m, 0.5, residual_mode=mode)
+        with pytest.raises(AssertionError):
+            fitted_model(rng, n=30, lam=0.05)
 
     def test_reused_factor_matches_fresh_factorization(self):
         rng = np.random.default_rng(12)
