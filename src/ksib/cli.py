@@ -83,6 +83,9 @@ def read_audit(path: str) -> TrajectoryLog:
 
 def cmd_simulate(args) -> int:
     scenario = _scenario_from_args(args)
+    if not scenario.inference_times:
+        # realdata may have an empty grid; a study without one exports nothing
+        raise ConfigError("inference_times must name at least one round")
     threads = args.threads or _default_threads()
     print(f"simulate: {scenario.scenario_id} reps={scenario.reps} "
           f"threads={threads}", file=sys.stderr)
@@ -100,6 +103,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_realdata(args) -> int:
+    if args.perms < 1:
+        raise ConfigError("--perms must be >= 1")
     table = load_csv(args.csv, args.label_col,
                      args.feature_cols.split(",") if args.feature_cols else None)
     times = tuple(t for t in REALDATA_INFERENCE_TIMES if args.T0 < t <= args.T)

@@ -19,6 +19,16 @@ no n x n array.  The :class:`KrrModel` keeps both factors and the fitted
 values (``L L^T z = D y - ridge z`` gives ``K c = y - ridge z / sqrt(w)``),
 so the plug-in covariance in :mod:`ksib.np_inference` studentizes through
 the same Woodbury form without factoring anything again.
+
+A fit may be warm-started with ``pivots``, support indices to try first: the
+policy passes the pivots of the arm's previous fit, since a support that has
+gained a few rows needs nearly the same pivots.  Their columns are computed
+in blocks by LAPACK (``dpstrf`` on the hints' m x m block, one triangular
+solve for the panel of the kept ones) instead of one greedy step per column;
+the greedy loop then continues to the same stopping rule, so the certificate
+is unchanged and only the factor's round-off differs.  Inference snapshots
+never pass a hint: a snapshot then depends on the log alone, and replaying
+an audit log reproduces it bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpstrf
 
 from .errors import DomainError
 from .numerics import median
@@ -40,6 +52,9 @@ PREDICTION_TOL = 1e-10
 # solve, which divides a cancelled difference by the ridge; default-schedule
 # fits sit near 1e-11 even at t = 1e4
 ROUNDOFF_TOL = 1e-5
+# hinted pivots are taken while every multiplier |L_sj| / L_jj of the factor
+# stays within this bound, which caps the round-off they can amplify
+HINT_GROWTH = 32.0
 
 
 @dataclass(frozen=True)
@@ -108,7 +123,8 @@ class KrrModel:
 
     ``factor`` is ``L^T`` (r x n), the pivoted-Cholesky factor of ``D K D``;
     ``inner`` is the ``(c, lower)`` Cholesky pair of the r x r matrix
-    ``system_ridge I + L^T L``; ``fitted`` are the in-sample values ``K c``.
+    ``system_ridge I + L^T L``; ``fitted`` are the in-sample values ``K c``;
+    ``pivots`` are the r support indices the factor pivoted on, in order.
     """
 
     support_u: np.ndarray
@@ -121,6 +137,7 @@ class KrrModel:
     factor: np.ndarray
     inner: tuple
     fitted: np.ndarray
+    pivots: np.ndarray
     system_ridge: float = field(init=False)
 
     def __post_init__(self):
@@ -142,7 +159,7 @@ class KrrModel:
 
 
 def fit(support_u, support_y, support_w, lam: float, kernel: GaussianKernel,
-        lam_scale: str = "support") -> KrrModel:
+        lam_scale: str = "support", pivots=()) -> KrrModel:
     """Fit the weighted dual system through a pivoted Cholesky factor.
 
     ``lam_scale='support'`` multiplies ``lam`` by the support size (the
@@ -162,6 +179,20 @@ def fit(support_u, support_y, support_w, lam: float, kernel: GaussianKernel,
     ``PREDICTION_TOL``.  Those bounds are for exact arithmetic; the factor's
     own round-off, of order machine epsilon times ``r sum(w)``, comes on
     top.  At r = n the factor is exact.
+
+    ``pivots`` warm-starts the factor with support indices to try first
+    (repeats are ignored).  LAPACK's ``dpstrf`` factors their m x m block
+    ``D_P K[P, P] D_P`` (greedy within P, dropping near-dependent hints at
+    its default tolerance), and one triangular solve against the kept
+    columns ``D K[:, Q] D_Q`` gives the rank-k panel of ``L``.  A hint need
+    not hold the largest residuals, so the panel is cut before the first
+    pivot whose multipliers ``|L_sj| / L_jj`` exceed ``HINT_GROWTH``;
+    without the cut, a hint such as two close points among heavier ones
+    would leave a panel whose round-off hides the residual.  The greedy
+    loop then continues from the residual diagonal until the same stopping
+    rule holds, so the bounds above hold for any hint.  An empty hint is
+    the cold start, bit for bit.  Only the policy passes one; inference
+    snapshots stay cold, so they depend on the log alone.
 
     Raises :class:`DomainError` when ``eps * sum(w) / ridge`` exceeds
     ``ROUNDOFF_TOL``: the Woodbury solve then loses about that much of the
@@ -193,8 +224,34 @@ def fit(support_u, support_y, support_w, lam: float, kernel: GaussianKernel,
     scale = float(np.sqrt(w.sum()) * np.linalg.norm(rhs))
     tol = PREDICTION_TOL * ridge * ridge / max(scale, ridge)
     resid = w * kernel.diag(u)
-    lt = np.empty((min(n, 32), n))   # L^T: row j is column j of L
+    hint = np.unique(np.asarray(pivots, dtype=np.intp))
+    if hint.size and not (0 <= hint.min() and hint.max() < n):
+        raise DomainError(f"pivots must index the support of size {n}")
+    order = np.empty(n, dtype=np.intp)   # the pivots, in order
     rank = 0
+    if hint.size:
+        # D_P K[P, P] D_P, then D_Q K[Q, :] D for the rank pivots Q it keeps
+        block = kernel(u[hint], u[hint])
+        block *= sqrt_w[hint, None]
+        block *= sqrt_w[hint]
+        c, piv, rank, _ = dpstrf(block, lower=1)
+        order[:rank] = hint[piv[:rank] - 1]
+    lt = np.empty((min(n, rank + 32), n))   # L^T: row j is column j of L
+    if rank:
+        block = kernel(u[order[:rank]], u)
+        block *= sqrt_w[order[:rank], None]
+        block *= sqrt_w
+        # the panel solves X L11^T = D K[:, Q] D_Q for the n x rank block X
+        lt[:rank] = dtrsm(1.0, c[:rank, :rank], block.T, side=1, lower=1,
+                          trans_a=1, overwrite_b=1).T
+        # keep the longest prefix whose multipliers |L_sj| / L_jj stay within
+        # HINT_GROWTH; the greedy rule keeps them within 1
+        growth = np.maximum(lt[:rank].max(axis=1), -lt[:rank].min(axis=1))
+        bad = np.flatnonzero(growth > HINT_GROWTH * np.diag(c)[:rank])
+        rank = int(bad[0]) if bad.size else rank
+        resid -= np.einsum("ij,ij->j", lt[:rank], lt[:rank])
+        np.maximum(resid, 0.0, out=resid)
+        resid[order[:rank]] = 0.0
     while rank < n and resid.sum() > tol:
         if rank == lt.shape[0]:
             lt = np.concatenate([lt, np.empty((min(n, 2 * rank) - rank, n))])
@@ -204,6 +261,7 @@ def fit(support_u, support_y, support_w, lam: float, kernel: GaussianKernel,
         col -= lt[:rank].T @ lt[:rank, i]
         col /= np.sqrt(resid[i])
         lt[rank] = col
+        order[rank] = i
         resid -= col * col
         np.maximum(resid, 0.0, out=resid)
         resid[i] = 0.0
@@ -215,4 +273,4 @@ def fit(support_u, support_y, support_w, lam: float, kernel: GaussianKernel,
     coef = cho_solve(inner, lt @ rhs, check_finite=False)
     z = (rhs - lt.T @ coef) / ridge
     return KrrModel(u, y, w, sqrt_w * z, lam, t_scale, kernel, lt, inner,
-                    y - ridge * z / sqrt_w)
+                    y - ridge * z / sqrt_w, order[:rank].copy())

@@ -10,7 +10,7 @@ over ``scipy.special`` that add the package's domain errors.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DomainError, SingularityError
 
@@ -80,32 +80,36 @@ def factor_spd(a, ridge: float = 0.0):
     automatic jitter retry (``1e-10 * trace/dim`` added once) precedes
     :class:`SingularityError`; adaptive Gram matrices are occasionally
     near-singular early in a run and the jitter absorbs exactly those cases.
+    LAPACK's ``dpotrf`` is called directly: it is the routine ``cho_factor``
+    wraps, so the factor has the same bits, without the wrapper's per-call
+    cost on the small systems of the policy loop.
     """
     a = _check_symmetric(a, "A")
     if ridge < 0:
         raise DomainError("ridge must be nonnegative")
     m = a if ridge == 0.0 else a + ridge * np.eye(a.shape[0])
-    jitter = 0.0
-    for attempt in range(2):
-        try:
-            return cho_factor(m, lower=True, check_finite=False), jitter
-        except np.linalg.LinAlgError:
-            if attempt == 0:
-                jitter = 1e-10 * np.trace(m) / m.shape[0]
-                if jitter <= 0:
-                    jitter = 1e-12
-                m = m + jitter * np.eye(m.shape[0])
+    c, info = dpotrf(m, lower=1, clean=0)
+    if info == 0:
+        return (c, True), 0.0
+    jitter = 1e-10 * np.trace(m) / m.shape[0]
+    if jitter <= 0:
+        jitter = 1e-12
+    m = m + jitter * np.eye(m.shape[0])
+    c, info = dpotrf(m, lower=1, clean=0)
+    if info == 0:
+        return (c, True), jitter
     pivot = float(np.linalg.eigvalsh(m)[0])
     raise SingularityError("matrix not positive definite after ridge and jitter", pivot)
 
 
 def solve_spd(a, b, ridge: float = 0.0):
-    """Solve ``(A + ridge*I) x = b`` through :func:`factor_spd`.
+    """Solve ``(A + ridge*I) x = b`` through :func:`factor_spd` and ``dpotrs``
+    (the solve ``cho_solve`` wraps).
 
     ``b`` may be a vector or a matrix of stacked right-hand sides.
     """
-    factor, _ = factor_spd(a, ridge)
-    return cho_solve(factor, np.asarray(b, dtype=float), check_finite=False)
+    (c, lower), _ = factor_spd(a, ridge)
+    return dpotrs(c, np.asarray(b, dtype=float), lower=lower)[0]
 
 
 def min_eigenvalue(a) -> float:

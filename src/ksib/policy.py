@@ -10,7 +10,7 @@ arm, the realized arm, its exact propensity, and eps_t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,18 +85,49 @@ class RoundRecord:
     epsilon: float
 
 
+# rows an arm's support buffers hold before their first doubling
+SUPPORT_CAPACITY = 64
+
+
 @dataclass
 class ArmState:
-    """Per-arm accumulators plus decision-time regression snapshots."""
+    """Per-arm accumulators plus decision-time regression snapshots.
+
+    The arm's support is rows ``[:n]`` of ``xs`` (contexts), ``ys``
+    (rewards) and ``ws`` (IPW weights ``1/max(p, p_min)``, stored as each
+    row arrives); the buffers double when full.
+    """
 
     acc: IndexAccumulator
-    xs: list = field(default_factory=list)
-    ys: list = field(default_factory=list)
-    props: list = field(default_factory=list)
+    xs: np.ndarray
+    ys: np.ndarray
+    ws: np.ndarray
+    n: int = 0
     estimate: IndexEstimate | None = None
     model: KrrModel | None = None
     bandwidth: float | None = None
     bandwidth_n: int = 0
+
+    @classmethod
+    def empty(cls, arm: int, dim: int) -> "ArmState":
+        return cls(IndexAccumulator(arm, dim), np.empty((SUPPORT_CAPACITY, dim)),
+                   np.empty(SUPPORT_CAPACITY), np.empty(SUPPORT_CAPACITY))
+
+    def append(self, x, y: float, w: float) -> None:
+        n = self.n
+        if n == self.ys.size:
+            self.xs, self.ys, self.ws = (_grown(a, 2 * n)
+                                         for a in (self.xs, self.ys, self.ws))
+        self.xs[n] = x
+        self.ys[n] = y
+        self.ws[n] = w
+        self.n = n + 1
+
+
+def _grown(a: np.ndarray, rows: int) -> np.ndarray:
+    out = np.empty((rows,) + a.shape[1:])
+    out[:a.shape[0]] = a
+    return out
 
 
 class EpsilonGreedyPolicy:
@@ -107,8 +138,7 @@ class EpsilonGreedyPolicy:
         self.score = score_model
         self.rng = rng
         self.t = 0
-        self.arms = [ArmState(IndexAccumulator(i, config.dim))
-                     for i in range(config.n_arms)]
+        self.arms = [ArmState.empty(i, config.dim) for i in range(config.n_arms)]
 
     # -- decision helpers ---------------------------------------------------
 
@@ -145,18 +175,20 @@ class EpsilonGreedyPolicy:
     # -- estimator updates --------------------------------------------------
 
     def _refit_krr(self, state: ArmState) -> None:
-        n = len(state.xs)
+        n = state.n
         if n < 2 or state.estimate is None or state.estimate.degenerate:
             return
-        xs = np.asarray(state.xs)
-        u = xs @ state.estimate.direction
+        u = state.xs[:n] @ state.estimate.direction
         if state.bandwidth is None or n >= 2 * state.bandwidth_n:
             state.bandwidth = median_bandwidth(u)
             state.bandwidth_n = n
         lam, scale = self.config.link_ridge(self.t, n)
-        w = 1.0 / np.maximum(np.asarray(state.props), self.config.p_min)
-        state.model = fit(u, np.asarray(state.ys), w, lam,
-                          GaussianKernel(state.bandwidth), lam_scale=scale)
+        # the last fit's pivots are a good start for a support a few rows
+        # larger; the certificate does not depend on them
+        hint = () if state.model is None else state.model.pivots
+        state.model = fit(u, state.ys[:n], state.ws[:n], lam,
+                          GaussianKernel(state.bandwidth), lam_scale=scale,
+                          pivots=hint)
 
     def step(self, x, reward_fn) -> RoundRecord:
         """Advance one round: select, observe the pulled arm's reward, update."""
@@ -177,11 +209,9 @@ class EpsilonGreedyPolicy:
             state.acc.observe(w_feat, y, prop, pulled=(i == arm),
                               p_min=self.config.p_min)
         pulled = self.arms[arm]
-        pulled.xs.append(x)
-        pulled.ys.append(y)
-        pulled.props.append(prop)
+        pulled.append(x, y, 1.0 / max(prop, self.config.p_min))
         pulled.estimate = pulled.acc.estimate_beta(self.config.lambda_beta)
-        n = len(pulled.xs)
+        n = pulled.n
         if n <= REFIT_EVERY_ROUND_BELOW or n % REFIT_INTERVAL == 0:
             self._refit_krr(pulled)
         return RoundRecord(self.t, greedy, arm, prop, y, eps)

@@ -4,7 +4,8 @@
 solves the same system ``(D K D + ridge I) z = D y`` with the full n x n
 matrix, so tests can compare the fit's predictions, fitted values, leverages
 and plug-in covariance with it, and can stand it in for ``fit`` inside the
-policy.  The covariance quantities use the explicit inverse.
+policy: it takes the ``pivots`` hint, ignores it, and reports no pivots.  The
+covariance quantities use the explicit inverse.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 class DenseKrr:
     def __init__(self, support_u, support_y, support_w, lam, kernel,
-                 lam_scale="support"):
+                 lam_scale="support", pivots=()):
         self.u = np.asarray(support_u, dtype=float)
         self.y = np.asarray(support_y, dtype=float)
         self.w = np.asarray(support_w, dtype=float)
@@ -25,6 +26,7 @@ class DenseKrr:
             self.ridge * np.eye(self.n)
         z = cho_solve(cho_factor(self.system, lower=True), self.sqrt_w * self.y)
         self.dual_coeffs = self.sqrt_w * z
+        self.pivots = np.empty(0, dtype=np.intp)
 
     def predict(self, u):
         k = self.kernel(self.u, np.asarray(u, dtype=float))

@@ -82,6 +82,21 @@ class TestSimulate:
         assert f"error: {field} must be" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_empty_inference_grid_rejected(self, tmp_path, capsys,
+                                           monkeypatch):
+        def no_study(*args, **kwargs):
+            raise AssertionError("a trajectory ran")
+
+        monkeypatch.setattr("ksib.cli.run_scenario", no_study)
+        cfg = tmp_path / "empty.json"
+        cfg.write_text(json.dumps({"inference_times": [], "reps": 1,
+                                   "T": 140, "T0": 20}))
+        code = main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "error: inference_times must" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_summary_echoes_resolved_config(self, sim_out):
         summary = json.loads((sim_out / "summary.json").read_text())
         assert summary["config"]["T"] == 140
@@ -212,7 +227,7 @@ class TestRealdata:
         assert a != b
 
     @pytest.mark.parametrize("flags,message", [
-        (["--perms", "0"], "reps must be >= 1"),
+        (["--perms", "0"], "--perms must be >= 1"),
         (["--T", "0"], "need 0 < T0 < T"),
         (["--T0", "250", "--T", "240"], "need 0 < T0 < T")])
     def test_invalid_run_rejected(self, tmp_path, capsys, flags, message):

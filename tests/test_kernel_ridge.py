@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksib.errors import DomainError
-from ksib.kernel_ridge import (GaussianKernel, fit, median_bandwidth,
-                               ridge_schedule)
+from ksib.kernel_ridge import (PREDICTION_TOL, GaussianKernel, fit,
+                               median_bandwidth, ridge_schedule)
+from ksib.np_inference import build_covariance
 
 
 class LinearFeatureKernel:
@@ -245,21 +246,65 @@ def supports(draw):
     return u, y, w, bandwidth
 
 
+def pivot_hint(kind, u, y, w, lam, kernel, lam_scale, seed):
+    """A ``pivots`` hint of the given kind for the support ``(u, y, w)``."""
+    n = u.size
+    rng = np.random.default_rng(seed)
+    if kind == "previous":
+        # the policy's case: the pivots of a fit a few rows earlier
+        m = max(1, n - int(rng.integers(1, 11)))
+        return fit(u[:m], y[:m], w[:m], lam, kernel, lam_scale).pivots
+    if kind == "random":
+        return rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+    if kind == "full":
+        return np.arange(n)
+    if kind == "duplicates":
+        # every row sharing a value of u with another, plus repeated indices
+        _, inverse, counts = np.unique(u, return_inverse=True, return_counts=True)
+        shared = np.flatnonzero(counts[inverse] > 1)
+        return np.concatenate([shared, shared[:3], [0, 0]])
+    return ()
+
+
+def residual_trace(model, w, kernel):
+    """``trace(D K D - L L^T)`` with the factor's pivots at zero, as
+    ``fit``'s stopping rule reads it."""
+    resid = w * kernel.diag(model.support_u) - np.sum(model.factor ** 2, axis=0)
+    resid = np.maximum(resid, 0.0)
+    resid[model.pivots] = 0.0
+    return resid.sum()
+
+
 class TestFitPivoted:
     """The pivoted-Cholesky solve against the dense one."""
 
-    # lam covers the default ridge schedule t^-0.05 up to t = 3e10
+    # lam covers the default ridge schedule t^-0.05 up to t = 3e10; the hint
+    # kinds cover the policy's warm start and hints it never passes
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(supports(), st.sampled_from(["none", "support"]),
-           st.floats(0.3, 1.0))
-    def test_predictions_match_exact_fit(self, support, lam_scale, lam):
+           st.floats(0.3, 1.0),
+           st.sampled_from(["previous", "random", "full", "duplicates",
+                            "empty"]),
+           st.integers(0, 2**32 - 1))
+    def test_predictions_match_exact_fit(self, support, lam_scale, lam,
+                                         hint_kind, hint_seed):
         u, y, w, bandwidth = support
         k = GaussianKernel(bandwidth)
         exact = DenseKrr(u, y, w, lam, k, lam_scale)
-        pivoted = fit(u, y, w, lam, k, lam_scale)
+        hint = pivot_hint(hint_kind, u, y, w, lam, k, lam_scale, hint_seed)
+        pivoted = fit(u, y, w, lam, k, lam_scale, pivots=hint)
         grid = np.concatenate([np.linspace(-4.0, 4.0, 161), u])
         np.testing.assert_allclose(pivoted.predict(grid), exact.predict(grid),
                                    rtol=0, atol=1e-9)
+        np.testing.assert_allclose(build_covariance(pivoted).one_minus_h,
+                                   exact.one_minus_h(), rtol=0, atol=1e-10)
+        # the stopping rule, up to the round-off of the subtraction
+        ridge = pivoted.system_ridge
+        scale = np.sqrt(w.sum()) * np.linalg.norm(np.sqrt(w) * y)
+        tol = PREDICTION_TOL * ridge * ridge / max(scale, ridge)
+        eps_slack = 64 * np.finfo(float).eps * w.sum()
+        assert residual_trace(pivoted, w, k) <= tol + eps_slack
+        assert len(set(pivoted.pivots.tolist())) == pivoted.rank
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_tiny_supports(self, n):
@@ -312,3 +357,37 @@ class TestFitPivoted:
             fit([], [], [], 0.1, GaussianKernel(1.0))
         with pytest.raises(DomainError):
             fit([0.0], [1.0], [1.0], 0.1, GaussianKernel(1.0), "bogus")
+
+    def test_empty_hint_is_the_cold_fit(self):
+        """An empty hint is the cold start, bit for bit."""
+        rng = np.random.default_rng(9)
+        u, y = rng.normal(size=50), rng.normal(size=50)
+        w = rng.uniform(1.0, 300.0, size=50)
+        k = GaussianKernel(0.6)
+        cold = fit(u, y, w, 0.5, k)
+        for hint in ((), [], np.empty(0, dtype=int)):
+            again = fit(u, y, w, 0.5, k, pivots=hint)
+            assert np.array_equal(again.dual_coeffs, cold.dual_coeffs)
+            assert np.array_equal(again.pivots, cold.pivots)
+
+    def test_previous_pivots_are_reused(self):
+        """Ten rows after a fit, its pivots carry most of the new factor."""
+        rng = np.random.default_rng(10)
+        u = rng.normal(size=600)
+        w = 1.0 / np.where(rng.uniform(size=600) < 0.1, 0.005, 0.9)
+        y = np.sin(u) + 0.1 * rng.normal(size=600)
+        k = GaussianKernel(median_bandwidth(u))
+        before = fit(u[:590], y[:590], w[:590], 0.7, k, "none")
+        cold = fit(u, y, w, 0.7, k, "none")
+        warm = fit(u, y, w, 0.7, k, "none", pivots=before.pivots)
+        taken = np.intersect1d(warm.pivots, before.pivots).size
+        assert taken >= before.rank - 3
+        assert warm.rank - taken < cold.rank // 2
+        np.testing.assert_allclose(warm.predict(u), cold.predict(u),
+                                   rtol=0, atol=1e-9)
+
+    def test_rejects_out_of_range_pivots(self):
+        for hint in ([2], [-1]):
+            with pytest.raises(DomainError, match="pivots"):
+                fit([0.0, 1.0], [1.0, 0.0], [1.0, 1.0], 0.5,
+                    GaussianKernel(1.0), pivots=hint)

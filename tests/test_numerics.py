@@ -5,9 +5,11 @@ import statistics
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf
 from scipy.special import gammainc
 
+from ksib import numerics
 from ksib.errors import DomainError, SingularityError
 from ksib.numerics import (Rng, chi2_quantile, factor_spd, median,
                            min_eigenvalue, normal_quantile, solve_spd)
@@ -156,6 +158,32 @@ class TestSolveSpd:
             solve_spd(a, np.ones(2))
         assert err.value.smallest_pivot is not None
         assert err.value.smallest_pivot < 0
+
+    def test_singular_input_takes_jitter_retry_then_raises(self, monkeypatch):
+        calls = []
+
+        def counting_dpotrf(m, **kwargs):
+            calls.append(np.array(m))
+            return dpotrf(m, **kwargs)
+
+        monkeypatch.setattr(numerics, "dpotrf", counting_dpotrf)
+        a = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(SingularityError):
+            solve_spd(a, np.ones(2))
+        assert len(calls) == 2
+        jitter = 1e-10 * np.trace(a) / 2
+        np.testing.assert_array_equal(calls[1], a + jitter * np.eye(2))
+
+    def test_bit_identical_to_cho_factor_and_cho_solve(self):
+        rng = np.random.default_rng(4)
+        for d in (1, 2, 5):
+            g = rng.normal(size=(d, d))
+            a = g @ g.T + 0.1 * np.eye(d)
+            for b in (rng.normal(size=d), rng.normal(size=(d, 3))):
+                old = cho_solve(cho_factor(a + 0.2 * np.eye(d), lower=True,
+                                           check_finite=False), b,
+                                check_finite=False)
+                assert np.array_equal(solve_spd(a, b, ridge=0.2), old)
 
     def test_jitter_recovers_near_singular(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])

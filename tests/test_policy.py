@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dense_krr import DenseKrr
+from ksib import kernel_ridge
 from ksib import policy as policy_module
 from ksib.environment import SyntheticEnv, sample_canonical_betas
 from ksib.errors import StateError
@@ -193,3 +194,88 @@ class TestPivotedRefit:
         np.testing.assert_array_equal(log.greedy, exact_log.greedy)
         np.testing.assert_array_equal(log.arm, exact_log.arm)
         assert ledger.total == exact_ledger.total
+
+
+def cold_fit(*args, pivots=(), **kwargs):
+    """``kernel_ridge.fit`` with the warm-start hint dropped."""
+    return kernel_ridge.fit(*args, **kwargs)
+
+
+def assert_same_decisions(sc, rep, monkeypatch):
+    log, _, ledger, _ = run_trajectory(sc, rep)
+    with monkeypatch.context() as m:
+        m.setattr(policy_module, "fit", cold_fit)
+        cold_log, _, cold_ledger, _ = run_trajectory(sc, rep)
+    np.testing.assert_array_equal(log.greedy, cold_log.greedy)
+    np.testing.assert_array_equal(log.arm, cold_log.arm)
+    assert ledger.total == cold_ledger.total
+
+
+class TestWarmStartedRefit:
+    """Refits warm-started from the last fit's pivots decide exactly as cold
+    refits do."""
+
+    @pytest.mark.parametrize("scenario", [
+        dict(d=2, sigma=0.05),
+        dict(d=5, sigma=0.20, score="empirical")])
+    @pytest.mark.parametrize("rep", [0, 1])
+    def test_same_decisions_as_cold_fit(self, monkeypatch, scenario, rep):
+        assert_same_decisions(Scenario(T=1000, reps=1, seed=4, **scenario),
+                              rep, monkeypatch)
+
+    @pytest.mark.slow
+    def test_same_decisions_as_cold_fit_long_horizon(self, monkeypatch):
+        assert_same_decisions(Scenario(T=4000, reps=1, seed=4, d=2, sigma=0.05),
+                              0, monkeypatch)
+
+    def test_refits_pass_the_last_pivots(self, monkeypatch):
+        hints = []
+
+        def recording_fit(*args, pivots=(), **kwargs):
+            hints.append(len(pivots))
+            return kernel_ridge.fit(*args, pivots=pivots, **kwargs)
+
+        monkeypatch.setattr(policy_module, "fit", recording_fit)
+        policy = make_policy(seed=2, warm_start=10)
+        env = SyntheticEnv(sample_canonical_betas(2, 2, Rng(5)), 0.05, Rng(3))
+        run_rounds(policy, env, 120)
+        assert hints[0] == 0 and sum(h > 0 for h in hints) > 100
+
+
+class TestSupportBuffers:
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_refit_rows_equal_list_history(self, monkeypatch, seed):
+        """Across the buffers' doublings the refit sees exactly the rows a
+        list-built history gives."""
+        fitted = []
+
+        def recording_fit(u, y, w, *args, **kwargs):
+            fitted.append((u.copy(), y.copy(), w.copy()))
+            return kernel_ridge.fit(u, y, w, *args, **kwargs)
+
+        monkeypatch.setattr(policy_module, "fit", recording_fit)
+        policy = make_policy(seed=seed, warm_start=10)
+        env = SyntheticEnv(sample_canonical_betas(2, 2, Rng(5)), 0.05,
+                           Rng(seed))
+        history = {0: ([], [], []), 1: ([], [], [])}
+        boundaries = {63, 64, 65, 128, 129}
+        checked = set()
+        for _ in range(400):
+            x, means, noise = env.draw_round()
+            fitted.clear()
+            rec = policy.step(x, lambda a: means[a] + noise)
+            xs, ys, props = history[rec.arm]
+            xs.append(x)
+            ys.append(rec.reward)
+            props.append(rec.propensity)
+            if len(xs) not in boundaries:
+                continue
+            state = policy.arms[rec.arm]
+            assert state.n == len(xs) == state.acc.pulls
+            (u, y, w), = fitted
+            assert np.array_equal(u, np.asarray(xs) @ state.estimate.direction)
+            assert np.array_equal(y, np.asarray(ys))
+            assert np.array_equal(
+                w, 1.0 / np.maximum(np.asarray(props), policy.config.p_min))
+            checked.add(len(xs))
+        assert checked == boundaries

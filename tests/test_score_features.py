@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from ksib.errors import DomainError, SingularityError, StateError
 from ksib.numerics import solve_spd
@@ -53,6 +54,15 @@ class TestKnownGaussian:
         model = KnownGaussianScore(mean, cov)
         for x in (rng.normal(size=4), rng.normal(size=(7, 4))):
             assert np.array_equal(model.score(x), solve_spd(cov, (x - mean).T).T)
+
+    def test_bit_identical_to_cho_solve(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(3, 3))
+        mean, cov = rng.normal(size=3), a @ a.T + 0.5 * np.eye(3)
+        model = KnownGaussianScore(mean, cov)
+        for x in (rng.normal(size=3), rng.normal(size=(6, 3))):
+            old = cho_solve(model._factor, (x - mean).T, check_finite=False).T
+            assert np.array_equal(model.score(x), old)
 
     def test_rejects_non_pd_covariance(self):
         with pytest.raises(SingularityError):
