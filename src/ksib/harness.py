@@ -211,6 +211,15 @@ class TrajectoryLog:
                 log.epsilon[i] = float(row[5 + dim])
             except ValueError as exc:
                 raise DomainError(f"audit log line {i + 2}: {exc}") from exc
+        cells = np.column_stack([log.contexts, log.propensity, log.reward,
+                                 log.epsilon])
+        bad = np.argwhere(~np.isfinite(cells))
+        if bad.size:
+            i, j = bad[0]
+            # the greedy and pulled arm columns sit between x and propensity
+            col = 1 + j if j < dim else 3 + j
+            raise DomainError(f"audit log line {i + 2}, column {header[col]}: "
+                              f"non-finite value {rows[i][col]!r}")
         return log
 
 

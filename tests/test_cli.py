@@ -175,6 +175,25 @@ class TestInferReplay:
         assert err.startswith("error: audit log line 3:")
         assert "abc" in err
 
+    # a non-finite cell used to surface far from its cause: a nan context
+    # as "A is not symmetric", a nan or inf reward as a nan bandwidth, a
+    # nan epsilon as a non-positive r_tilde
+    @pytest.mark.parametrize("row, column, cell", [
+        ("2,nan,0,1,0.5,0.0,0.5", "x0", "nan"),
+        ("2,0.1,0,1,0.5,nan,0.5", "reward", "nan"),
+        ("2,0.1,0,1,0.5,-inf,0.5", "reward", "-inf"),
+        ("2,0.1,0,1,0.5,0.0,nan", "epsilon", "nan"),
+    ])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, capsys,
+                                                   row, column, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(self.HEADER + self.GOOD_ROW + row + "\n")
+        assert main(["infer", "--log", str(bad), "--arm", "0",
+                     "--t", "60"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: audit log line 3, column {column}: "
+                              f"non-finite value '{cell}'")
+
     def test_short_row_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text(self.HEADER + self.GOOD_ROW + "2,0.1,0,1\n")

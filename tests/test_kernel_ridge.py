@@ -1,14 +1,17 @@
 """Weighted kernel ridge regression in dual form, against primal oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from dense_krr import DenseKrr
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pairwise_median import pairwise_median_bandwidth
 
 from ksib.errors import DomainError
-from ksib.kernel_ridge import (PREDICTION_TOL, GaussianKernel, fit,
-                               median_bandwidth, ridge_schedule)
+from ksib.kernel_ridge import (PAIR_CAP, PREDICTION_TOL, GaussianKernel,
+                               fit, median_bandwidth, ridge_schedule)
 from ksib.np_inference import build_covariance
 
 
@@ -52,6 +55,13 @@ class TestKernel:
             GaussianKernel(0.0)
 
 
+def ulps_of_one(rng, n):
+    """Points a few ulps above 1 among multiples of 2^-55 below 2^-51."""
+    return np.where(rng.uniform(size=n) < rng.uniform(0.05, 0.5),
+                    1.0 + rng.integers(0, 8, size=n) * 2.0 ** -52,
+                    rng.integers(0, 16, size=n) * 2.0 ** -55)
+
+
 class TestMedianBandwidth:
     def test_three_points(self):
         assert median_bandwidth([0.0, 1.0, 3.0]) == 2.0
@@ -71,8 +81,68 @@ class TestMedianBandwidth:
         us = rng.normal(size=3000)
         full = median_bandwidth(us, cap=10_000_000)
         capped = median_bandwidth(us, cap=50_000)
+        assert full == pairwise_median_bandwidth(us, cap=10_000_000)
         assert capped == median_bandwidth(us, cap=50_000)
         assert capped == pytest.approx(full, rel=0.1)
+
+    @pytest.mark.parametrize("bad", [[0.0, np.nan, 1.0, 3.0],
+                                     [1.0, 2.0, -np.inf, 5.0],
+                                     [np.inf, 0.0]])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            median_bandwidth(bad)
+
+    # sizes up to 1500 with caps that force strides; ties, integer grids,
+    # duplicates, signed zeros, magnitudes from 1e-8 to 1e8 and negative
+    # offsets; "ulps" mixes steps of a few ulps of 1 with smaller ones, so
+    # that s_i + d rounds across the count's boundary
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.integers(2, 1500),
+           st.sampled_from(["normal", "grid", "duplicates", "signed_zeros",
+                            "heavy", "offset", "ulps"]),
+           st.integers(-27, 27),
+           st.sampled_from([PAIR_CAP, 20_000, 1_000, 10, 1]),
+           st.integers(0, 2**32 - 1))
+    def test_equals_pairwise_oracle(self, n, shape, exponent, cap, seed):
+        rng = np.random.default_rng(seed)
+        us = rng.normal(size=n)
+        if shape == "grid":
+            us = rng.integers(-4, 5, size=n).astype(float)
+        elif shape == "duplicates":
+            us = rng.choice(us[: max(1, n // 10)], size=n)
+        elif shape == "signed_zeros":
+            us = np.where(rng.uniform(size=n) < 0.9,
+                          rng.choice([0.0, -0.0], size=n), us)
+        elif shape == "heavy":
+            us = rng.standard_cauchy(size=n)
+        elif shape == "offset":
+            us = np.round(us, 3) - 1e8 * 2.0 ** -exponent
+        elif shape == "ulps":
+            us = ulps_of_one(rng, n)
+        us = us * 2.0 ** exponent
+        got = median_bandwidth(us, cap=cap)
+        want = pairwise_median_bandwidth(us, cap=cap)
+        assert got == want and np.signbit(got) == np.signbit(want)
+
+    def test_equals_oracle_where_sums_round_across_the_boundary(self):
+        # the "ulps" inputs at sizes where the count decides the bracket;
+        # without the fix-up of fl(s_i + d), about 1 in 25 of them fails
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            us = ulps_of_one(rng, int(rng.integers(200, 1500)))
+            assert median_bandwidth(us) == pairwise_median_bandwidth(us)
+
+    def test_largest_unstrided_support_stays_small(self):
+        # 632 points give 199,396 pairs, the most PAIR_CAP takes unstrided;
+        # their distance matrix alone would be 3.2 MB
+        us = np.random.default_rng(2).normal(size=632)
+        tracemalloc.start()
+        try:
+            median_bandwidth(us)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestRidgeSchedule:
