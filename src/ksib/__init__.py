@@ -23,8 +23,8 @@ from .kernel_ridge import (GaussianKernel, KrrModel, fit, median_bandwidth,
 from .np_inference import (NpCovariance, PointwiseCi, as_band_ci,
                            build_covariance, exploration_coefficient,
                            pointwise_ci)
-from .numerics import Rng, chi2_quantile, median, min_eigenvalue, normal_quantile, solve_spd
-from .policy import EpsilonGreedyPolicy, EpsilonSchedule, PolicyConfig
+from .numerics import Rng, chi2_quantile, min_eigenvalue, normal_quantile, solve_spd
+from .policy import EpsilonGreedyPolicy
 from .score_features import EmpiricalWhiteningScore, KnownGaussianScore
 
 __version__ = "0.1.0"

@@ -157,6 +157,20 @@ def cmd_infer(args) -> int:
         overrides["score"] = args.score
     scenario = Scenario(d=log.dim, T=max(log.rounds, args.t + 1),
                         T0=args.T0, inference_times=(args.t,), **overrides)
+    scenario.validate()
+    if args.context:
+        try:
+            x = np.array([float(v) for v in args.context.split(",")])
+        except ValueError as exc:
+            raise ConfigError(f"--context: {exc}") from exc
+        if not np.isfinite(x).all():
+            raise ConfigError(f"--context must be finite, got {args.context!r}")
+    elif args.t < log.rounds:
+        x = log.contexts[args.t]
+    else:
+        x = None
+    if x is not None and x.size != log.dim:
+        raise ConfigError(f"context needs {log.dim} coordinates")
     snap = inference_snapshot(log, args.t, args.arm, scenario)
     report = snap.report
     out = {
@@ -172,15 +186,7 @@ def cmd_infer(args) -> int:
         "gram_lambda_min": float(np.linalg.eigvalsh(
             snap.estimate.gram)[0]),
     }
-    if args.context:
-        x = np.array([float(v) for v in args.context.split(",")])
-    elif args.t < log.rounds:
-        x = log.contexts[args.t]
-    else:
-        x = None
     if x is not None:
-        if x.size != log.dim:
-            raise ConfigError(f"context needs {log.dim} coordinates")
         clt, band = np_cis_at(snap, x, scenario)
         out["pointwise"] = {
             ci.method: {"u": ci.u, "center": ci.center, "lo": ci.lo,

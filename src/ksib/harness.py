@@ -25,10 +25,10 @@ from . import index_inference, np_inference
 from .environment import RegretLedger, SyntheticEnv, sample_canonical_betas
 from .errors import ConfigError, DegeneracyError, DomainError, KsibError
 from .index_estimation import estimate_from_arrays
-from .kernel_ridge import GaussianKernel, fit, median_bandwidth
+from .kernel_ridge import (GaussianKernel, fit, median_bandwidth,
+                           ridge_schedule)
 from .numerics import Rng, min_eigenvalue, normal_quantile
-from .policy import (EpsilonGreedyPolicy, EpsilonSchedule, PolicyConfig,
-                     propensity)
+from .policy import EpsilonGreedyPolicy, propensity
 from .score_features import EmpiricalWhiteningScore, KnownGaussianScore
 
 SCHEMA_VERSION = 1
@@ -107,8 +107,11 @@ class Scenario:
             raise ConfigError("inference_times must be strictly increasing")
         if not (0 < self.level < 1):
             raise ConfigError("level must be in (0,1)")
-        if self.n_arms < 2:
-            raise ConfigError("n_arms must be >= 2")
+        if self.n_arms != 2:
+            # both environments define two arms
+            raise ConfigError("n_arms must be 2")
+        if self.lambda_beta < 0:
+            raise ConfigError("lambda_beta must be nonnegative")
         if not (0 < self.p_min <= 1):
             raise ConfigError("p_min must be in (0,1]")
         if not (0 < self.eps_floor <= self.eps_cap < 1):
@@ -121,6 +124,10 @@ class Scenario:
             raise ConfigError("ridge_time must be 'rounds' or 'pulls'")
         if not (0 < self.as_theta < 0.5):
             raise ConfigError("as_theta must be in (0, 1/2)")
+        if self.as_kappa <= 0:
+            raise ConfigError("as_kappa must be positive")
+        if self.as_c_const <= 0:
+            raise ConfigError("as_c_const must be positive")
         if self.np_residual_mode not in ("loo", "raw"):
             raise ConfigError("np_residual_mode must be 'loo' or 'raw'")
 
@@ -128,13 +135,20 @@ class Scenario:
     def scenario_id(self) -> str:
         return f"d{self.d}_sigma{self.sigma:g}"
 
-    def policy_config(self) -> PolicyConfig:
-        return PolicyConfig(
-            n_arms=self.n_arms, dim=self.d, warm_start=self.T0,
-            schedule=EpsilonSchedule(self.eps_floor, self.eps_cap,
-                                     self.eps_coeff, self.eps_exponent),
-            p_min=self.p_min, lambda_beta=self.lambda_beta, zeta=self.zeta,
-            krr_ridge_mode=self.krr_ridge_mode, ridge_time=self.ridge_time)
+    def epsilon(self, t: int) -> float:
+        """Exploration rate of round ``t`` after the warm start."""
+        return max(self.eps_floor, min(
+            self.eps_cap, self.eps_coeff * float(t) ** (-self.eps_exponent)))
+
+    def link_ridge(self, t: int, n_pulls: int) -> float:
+        """Dual-system ridge of a link fit at round ``t`` on an arm's
+        ``n_pulls`` pulls: the schedule ``ridge_schedule`` at ``t``
+        ("rounds") or at ``n_pulls`` ("pulls"), times ``n_pulls`` when
+        ``krr_ridge_mode`` is "support-scaled" (the ``n * lam`` of the
+        1/n-normalized formulation)."""
+        t_sched = t if self.ridge_time == "rounds" else n_pulls
+        lam = ridge_schedule(max(t_sched, 1), self.zeta)
+        return lam if self.krr_ridge_mode == "plain" else lam * n_pulls
 
     def scenario_betas(self) -> np.ndarray:
         """Index vectors shared by every replication of this scenario."""
@@ -279,9 +293,8 @@ def inference_snapshot(log: TrajectoryLog, t: int, arm: int,
     direction = est.direction if est.direction[0] >= 0 else -est.direction
     u_sup = log.contexts[:t][pulled] @ direction
     bw = median_bandwidth(u_sup)
-    lam, scale = scenario.policy_config().link_ridge(t, int(pulled.sum()))
-    model = fit(u_sup, rewards[pulled], weights, lam, GaussianKernel(bw),
-                lam_scale=scale)
+    model = fit(u_sup, rewards[pulled], weights,
+                scenario.link_ridge(t, int(pulled.sum())), GaussianKernel(bw))
     cov = np_inference.build_covariance(model, scenario.gamma,
                                         residual_mode=scenario.np_residual_mode)
     r_tilde = np_inference.exploration_coefficient(
@@ -330,7 +343,7 @@ def run_policy(scenario: Scenario, env, rng: Rng):
         score = KnownGaussianScore.standard(scenario.d)
     else:
         score = EmpiricalWhiteningScore(scenario.d)
-    policy = EpsilonGreedyPolicy(scenario.policy_config(), score, rng)
+    policy = EpsilonGreedyPolicy(scenario, score, rng)
     log = TrajectoryLog.empty(scenario.T, scenario.d)
     means = np.empty((scenario.T, scenario.n_arms))
     infer_set = set(scenario.inference_times)

@@ -33,7 +33,7 @@ an audit log reproduces it bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -208,7 +208,7 @@ class KrrModel:
 
     ``factor`` is ``L^T`` (r x n), the pivoted-Cholesky factor of ``D K D``;
     ``inner`` is the ``(c, lower)`` Cholesky pair of the r x r matrix
-    ``system_ridge I + L^T L``; ``fitted`` are the in-sample values ``K c``;
+    ``ridge I + L^T L``; ``fitted`` are the in-sample values ``K c``;
     ``pivots`` are the r support indices the factor pivoted on, in order.
     """
 
@@ -216,17 +216,12 @@ class KrrModel:
     support_y: np.ndarray
     support_w: np.ndarray
     dual_coeffs: np.ndarray
-    lam: float            # schedule-level ridge as passed to fit()
-    t_scale: int          # multiplier applied to lam in the dual system
+    ridge: float          # the dual system's ridge, as passed to fit()
     kernel: GaussianKernel
     factor: np.ndarray
     inner: tuple
     fitted: np.ndarray
     pivots: np.ndarray
-    system_ridge: float = field(init=False)
-
-    def __post_init__(self):
-        self.system_ridge = self.lam * self.t_scale
 
     @property
     def n_support(self) -> int:
@@ -243,13 +238,13 @@ class KrrModel:
         return k.T @ self.dual_coeffs if k.ndim == 2 else float(k @ self.dual_coeffs)
 
 
-def fit(support_u, support_y, support_w, lam: float, kernel: GaussianKernel,
-        lam_scale: str = "support", pivots=()) -> KrrModel:
+def fit(support_u, support_y, support_w, ridge: float, kernel: GaussianKernel,
+        pivots=()) -> KrrModel:
     """Fit the weighted dual system through a pivoted Cholesky factor.
 
-    ``lam_scale='support'`` multiplies ``lam`` by the support size (the
-    ``n * lam`` product of the 1/n-normalized formulation);
-    ``lam_scale='none'`` uses ``lam`` as the raw system ridge.
+    ``ridge`` is the dual system's ridge as it stands; the 1/n-normalized
+    formulation's ``n * lam`` is the caller's product
+    (:meth:`ksib.harness.Scenario.link_ridge`).
 
     ``A = D K D`` is factored greedily as ``L L^T``: each step pivots on the
     largest entry of the residual diagonal ``diag(A - L L^T)`` (which
@@ -293,12 +288,8 @@ def fit(support_u, support_y, support_w, lam: float, kernel: GaussianKernel,
         raise DomainError("support arrays must share a length")
     if np.any(w <= 0):
         raise DomainError("support weights must be positive; drop zero-weight rows")
-    if not (lam > 0):
-        raise DomainError("lam must be positive")
-    if lam_scale not in ("support", "none"):
-        raise DomainError(f"unknown lam_scale {lam_scale!r}")
-    t_scale = n if lam_scale == "support" else 1
-    ridge = lam * t_scale
+    if not (ridge > 0):
+        raise DomainError("ridge must be positive")
     roundoff = np.finfo(float).eps * float(w.sum()) / ridge
     if not (roundoff <= ROUNDOFF_TOL):
         raise DomainError(f"ridge {ridge:.3g} too small for weights summing to "
@@ -357,5 +348,5 @@ def fit(support_u, support_y, support_w, lam: float, kernel: GaussianKernel,
     inner = cho_factor(inner, lower=True, check_finite=False)
     coef = cho_solve(inner, lt @ rhs, check_finite=False)
     z = (rhs - lt.T @ coef) / ridge
-    return KrrModel(u, y, w, sqrt_w * z, lam, t_scale, kernel, lt, inner,
+    return KrrModel(u, y, w, sqrt_w * z, ridge, kernel, lt, inner,
                     y - ridge * z / sqrt_w, order[:rank].copy())

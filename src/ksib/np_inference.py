@@ -67,7 +67,7 @@ class NpCovariance:
         sqrt_w = self._sqrt_w[:, None] if k.ndim == 2 else self._sqrt_w
         rhs = sqrt_w * k
         sol = rhs - self._g.T @ (self._g @ rhs)
-        return (self.model.n_support / self.model.system_ridge) * sol / sqrt_w
+        return (self.model.n_support / self.model.ridge) * sol / sqrt_w
 
     def d2(self, u) -> float:
         """Squared studentizer ``scale * sum_s w_s^2 r_s^2 v_x[s]^2``."""

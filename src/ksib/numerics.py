@@ -118,15 +118,6 @@ def min_eigenvalue(a) -> float:
     return float(np.linalg.eigvalsh(a)[0])
 
 
-def median(xs) -> float:
-    """Lower median: exact order statistic, deterministic for even length."""
-    arr = np.asarray(xs, dtype=float).ravel()
-    if arr.size == 0:
-        raise DomainError("median of empty sequence")
-    k = (arr.size - 1) // 2
-    return float(np.partition(arr, k)[k])
-
-
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF."""
     if not (0.0 < p < 1.0):

@@ -1,6 +1,6 @@
 """Epsilon-greedy decision loop with exact propensity bookkeeping.
 
-Round t <= warm_start pulls arms round-robin (recorded propensity 1/L, the
+Round t <= T0 pulls arms round-robin (recorded propensity 1/L, the
 uniform-equivalent forced design); afterwards the estimated-best arm is
 pulled with probability 1 - eps_t and each other arm with eps_t/(L-1).
 Only the pulled arm's estimators change in a round.  Every round's record
@@ -15,25 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StateError
-from .index_estimation import (DEFAULT_LAMBDA_BETA, DEFAULT_P_MIN,
-                               IndexAccumulator, IndexEstimate)
-from .kernel_ridge import (DEFAULT_ZETA, GaussianKernel, KrrModel, fit,
-                           median_bandwidth, ridge_schedule)
-
-
-@dataclass(frozen=True)
-class EpsilonSchedule:
-    floor: float = 0.005
-    cap: float = 0.35
-    coeff: float = 0.15
-    exponent: float = 0.4
-
-    def __post_init__(self):
-        if not (0.0 < self.floor <= self.cap < 1.0):
-            raise ValueError("need 0 < floor <= cap < 1")
-
-    def value(self, t: int) -> float:
-        return max(self.floor, min(self.cap, self.coeff * float(t) ** (-self.exponent)))
+from .index_estimation import IndexAccumulator, IndexEstimate
+from .kernel_ridge import GaussianKernel, KrrModel, fit, median_bandwidth
 
 
 # the pulled arm's link model is refit after every one of its first
@@ -50,29 +33,6 @@ def propensity(arm, greedy, eps, t, warm_start: int, n_arms: int):
     is_greedy, warm = arm == greedy, t <= warm_start
     p = is_greedy * (1.0 - eps) + (1 - is_greedy) * (eps / (n_arms - 1))
     return warm * (1.0 / n_arms) + (1 - warm) * p
-
-
-@dataclass(frozen=True)
-class PolicyConfig:
-    n_arms: int = 2
-    dim: int = 2
-    warm_start: int = 50
-    schedule: EpsilonSchedule = EpsilonSchedule()
-    p_min: float = DEFAULT_P_MIN
-    lambda_beta: float = DEFAULT_LAMBDA_BETA
-    zeta: float = DEFAULT_ZETA
-    # "plain": dual system ridge is the schedule value itself;
-    # "support-scaled": schedule value multiplied by the support size.
-    krr_ridge_mode: str = "plain"
-    # schedule driven by total rounds or by the arm's pull count
-    ridge_time: str = "rounds"
-
-    def link_ridge(self, t: int, n_pulls: int) -> tuple[float, str]:
-        """``(lam, lam_scale)`` for a link fit at round ``t`` on an arm's
-        ``n_pulls`` pulls, as :func:`kernel_ridge.fit` takes them."""
-        t_sched = t if self.ridge_time == "rounds" else n_pulls
-        scale = "none" if self.krr_ridge_mode == "plain" else "support"
-        return ridge_schedule(max(t_sched, 1), self.zeta), scale
 
 
 @dataclass
@@ -131,14 +91,19 @@ def _grown(a: np.ndarray, rows: int) -> np.ndarray:
 
 
 class EpsilonGreedyPolicy:
-    """Single-trajectory decision loop; one instance per run, not shared."""
+    """Single-trajectory decision loop; one instance per run, not shared.
 
-    def __init__(self, config: PolicyConfig, score_model, rng):
-        self.config = config
+    It reads the run's :class:`ksib.harness.Scenario` as given: its ``d``,
+    ``n_arms``, ``T0``, ``p_min`` and ``lambda_beta``, and its ``epsilon``
+    and ``link_ridge`` rules.
+    """
+
+    def __init__(self, scenario, score_model, rng):
+        self.config = scenario
         self.score = score_model
         self.rng = rng
         self.t = 0
-        self.arms = [ArmState.empty(i, config.dim) for i in range(config.n_arms)]
+        self.arms = [ArmState.empty(i, scenario.d) for i in range(scenario.n_arms)]
 
     # -- decision helpers ---------------------------------------------------
 
@@ -149,7 +114,7 @@ class EpsilonGreedyPolicy:
         return float(state.model.predict(u))
 
     def greedy_arm(self, x) -> int:
-        if self.t < self.config.warm_start:
+        if self.t < self.config.T0:
             raise StateError("greedy_arm is undefined during the warm start")
         preds = [self._prediction(s, x) for s in self.arms]
         return int(np.argmax(preds))  # argmax keeps the lowest index on ties
@@ -157,12 +122,12 @@ class EpsilonGreedyPolicy:
     def select(self, x):
         """Sample the arm for the next round; returns (arm, propensity, greedy, eps)."""
         t_next = self.t + 1
-        n_arms, warm_start = self.config.n_arms, self.config.warm_start
+        n_arms, warm_start = self.config.n_arms, self.config.T0
         if t_next <= warm_start:
             arm = best = (t_next - 1) % n_arms
             eps = 1.0 / n_arms
         else:
-            eps = self.config.schedule.value(t_next)
+            eps = self.config.epsilon(t_next)
             best = arm = self.greedy_arm(x)
             u = self.rng.uniform()
             if u >= 1.0 - eps:
@@ -182,13 +147,12 @@ class EpsilonGreedyPolicy:
         if state.bandwidth is None or n >= 2 * state.bandwidth_n:
             state.bandwidth = median_bandwidth(u)
             state.bandwidth_n = n
-        lam, scale = self.config.link_ridge(self.t, n)
         # the last fit's pivots are a good start for a support a few rows
         # larger; the certificate does not depend on them
         hint = () if state.model is None else state.model.pivots
-        state.model = fit(u, state.ys[:n], state.ws[:n], lam,
-                          GaussianKernel(state.bandwidth), lam_scale=scale,
-                          pivots=hint)
+        state.model = fit(u, state.ys[:n], state.ws[:n],
+                          self.config.link_ridge(self.t, n),
+                          GaussianKernel(state.bandwidth), pivots=hint)
 
     def step(self, x, reward_fn) -> RoundRecord:
         """Advance one round: select, observe the pulled arm's reward, update."""

@@ -13,14 +13,14 @@ from scipy.linalg import cho_factor, cho_solve
 
 
 class DenseKrr:
-    def __init__(self, support_u, support_y, support_w, lam, kernel,
-                 lam_scale="support", pivots=()):
+    def __init__(self, support_u, support_y, support_w, ridge, kernel,
+                 pivots=()):
         self.u = np.asarray(support_u, dtype=float)
         self.y = np.asarray(support_y, dtype=float)
         self.w = np.asarray(support_w, dtype=float)
         self.kernel = kernel
         self.n = self.u.size
-        self.ridge = lam * (self.n if lam_scale == "support" else 1)
+        self.ridge = ridge
         self.sqrt_w = np.sqrt(self.w)
         self.system = kernel.gram(self.u) * np.outer(self.sqrt_w, self.sqrt_w) + \
             self.ridge * np.eye(self.n)

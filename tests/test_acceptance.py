@@ -215,7 +215,7 @@ class TestCriterion7:
             u = rng.normal(size=n)
             y = rng.normal(size=n)
             lam = float(rng.uniform(0.01, 1.0))
-            m = fit(u, y, np.ones(n), lam, kernel)
+            m = fit(u, y, np.ones(n), lam * n, kernel)
             classical = np.linalg.solve(kernel.gram(u) + n * lam * np.eye(n), y)
             worst = max(worst, float(np.max(np.abs(m.dual_coeffs - classical))))
         ok = worst <= 1e-10
@@ -247,7 +247,7 @@ class TestCriterion7:
             y = rng.normal(size=n)
             w = rng.uniform(0.5, 20.0, size=n)
             lam = float(rng.uniform(0.05, 1.0))
-            m = fit(u, y, w, lam, LinKernel())
+            m = fit(u, y, w, lam * n, LinKernel())
             phi = np.column_stack([np.ones(n), u])
             theta = np.linalg.solve(phi.T @ (w[:, None] * phi)
                                     + lam * n * np.eye(2), phi.T @ (w * y))
@@ -292,8 +292,8 @@ class TestCriterion8:
         for _ in range(200):
             n = int(rng.integers(2, 12))
             m = fit(rng.normal(size=n), rng.normal(size=n),
-                    rng.uniform(1, 10, size=n), float(rng.uniform(0.05, 1.0)),
-                    GaussianKernel(1.0))
+                    rng.uniform(1, 10, size=n),
+                    float(rng.uniform(0.05, 1.0)) * n, GaussianKernel(1.0))
             cov = npi.build_covariance(m, 0.5)
             for u in rng.normal(size=5):
                 ok_d2 &= cov.d2(float(u)) >= -1e-12

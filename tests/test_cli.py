@@ -148,6 +148,19 @@ class TestInferReplay:
         assert code != 0
         capsys.readouterr()
 
+    # a non-number used to end in a ValueError traceback and a nan printed
+    # NaN centres, which is not JSON; a negative T0 went unchecked
+    @pytest.mark.parametrize("flags, message", [
+        (["--context", "1,abc"], "--context"),
+        (["--context", "1,nan"], "--context must be finite"),
+        (["--T0", "-5"], "need 0 < T0 < T")])
+    def test_bad_input_refused(self, sim_out, capsys, flags, message):
+        assert main(["infer", "--log", str(sim_out / "rounds_rep0.csv"),
+                     "--arm", "0", "--t", "60"] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
     def test_empty_log_errors(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

@@ -62,15 +62,21 @@ class TestScenario:
             with pytest.raises(ConfigError, match=field):
                 Scenario(**{field: value}).validate()
 
+    # the last six once passed and then failed every replication (no third
+    # link; a DomainError from the index solve or the band) or, for
+    # as_kappa, inverted every AS band silently
     @pytest.mark.parametrize("bad", [{"d": True}, {"reps": 2.0},
                                      {"inference_times": (200, "999")},
-                                     {"inference_times": (200, 999.0)}])
+                                     {"inference_times": (200, 999.0)},
+                                     {"n_arms": 3}, {"lambda_beta": -1e-3},
+                                     {"as_c_const": 0.0}, {"as_c_const": -1.0},
+                                     {"as_kappa": 0.0}, {"as_kappa": -1.0}])
     def test_validation_rejects_bools_floats_and_bad_times(self, bad):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             Scenario(**bad).validate()
 
     def test_validation_accepts_numpy_scalars_and_int_floats(self):
-        Scenario(d=np.int64(3), sigma=0, zeta=np.float64(0.05),
+        Scenario(d=np.int64(3), sigma=0, zeta=np.float64(0.05), lambda_beta=0,
                  inference_times=[200, np.int64(999)]).validate()
 
     def test_scenario_betas_shared_across_reps(self):

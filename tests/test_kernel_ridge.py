@@ -170,7 +170,7 @@ class TestFit:
             u = rng.normal(size=n)
             y = rng.normal(size=n)
             lam = float(rng.uniform(0.01, 2.0))
-            m = fit(u, y, np.ones(n), lam, k)
+            m = fit(u, y, np.ones(n), lam * n, k)
             classical = np.linalg.solve(k.gram(u) + n * lam * np.eye(n), y)
             np.testing.assert_allclose(m.dual_coeffs, classical, atol=1e-10)
 
@@ -183,7 +183,7 @@ class TestFit:
             y = rng.normal(size=n)
             w = rng.uniform(0.3, 25.0, size=n)
             lam = float(rng.uniform(0.02, 1.5))
-            m = fit(u, y, w, lam, kernel)
+            m = fit(u, y, w, lam * n, kernel)
             phi = np.column_stack([np.ones(n), u])
             theta = np.linalg.solve(phi.T @ (w[:, None] * phi)
                                     + lam * n * np.eye(2), phi.T @ (w * y))
@@ -196,13 +196,13 @@ class TestFit:
         n = 8
         u = np.linspace(-2, 2, n) + 0.01 * rng.normal(size=n)
         y = rng.normal(size=n)
-        m = fit(u, y, np.ones(n), 1e-10, GaussianKernel(1.0))
+        m = fit(u, y, np.ones(n), 1e-10 * n, GaussianKernel(1.0))
         np.testing.assert_allclose(m.predict(u), y, atol=1e-4)
 
     def test_large_ridge_flattens(self):
         u = np.array([-1.0, 0.0, 1.0])
         y = np.array([5.0, -2.0, 3.0])
-        m = fit(u, y, np.ones(3), 1e8, GaussianKernel(1.0))
+        m = fit(u, y, np.ones(3), 1e8 * 3, GaussianKernel(1.0))
         assert np.max(np.abs(m.predict(u))) < 1e-5
 
     def test_rejects_zero_weights_and_empty(self):
@@ -211,25 +211,26 @@ class TestFit:
         with pytest.raises(DomainError):
             fit([], [], [], 0.1, GaussianKernel(1.0))
 
-    def test_lam_scale_none(self):
+    def test_ridge_is_taken_as_passed(self):
         u = np.array([0.0, 1.0])
         y = np.array([1.0, -1.0])
-        scaled = fit(u, y, np.ones(2), 0.3, GaussianKernel(1.0), "support")
-        plain = fit(u, y, np.ones(2), 0.6, GaussianKernel(1.0), "none")
+        scaled = fit(u, y, np.ones(2), 0.3 * u.size, GaussianKernel(1.0))
+        plain = fit(u, y, np.ones(2), 0.6, GaussianKernel(1.0))
         np.testing.assert_allclose(scaled.dual_coeffs, plain.dual_coeffs)
-        assert scaled.system_ridge == pytest.approx(plain.system_ridge)
+        assert scaled.ridge == pytest.approx(plain.ridge) == 0.6
 
 
 class TestFitCache:
-    @pytest.mark.parametrize("lam_scale", ["support", "none"])
-    def test_fitted_values_match_gram_product(self, lam_scale):
+    @pytest.mark.parametrize("scale", ["support", "none"])
+    def test_fitted_values_match_gram_product(self, scale):
         rng = np.random.default_rng(7)
         for _ in range(30):
             n = int(rng.integers(1, 40))
             k = GaussianKernel(float(rng.uniform(0.3, 2.0)))
             u = rng.normal(size=n)
-            m = fit(u, rng.normal(size=n), rng.uniform(1.0, 50.0, size=n),
-                    float(rng.uniform(1e-3, 1.0)), k, lam_scale)
+            y, w = rng.normal(size=n), rng.uniform(1.0, 50.0, size=n)
+            lam = float(rng.uniform(1e-3, 1.0))
+            m = fit(u, y, w, ridge_of(lam, scale, n), k)
             np.testing.assert_allclose(m.fitted, k.gram(u) @ m.dual_coeffs,
                                        rtol=0, atol=1e-10)
 
@@ -237,13 +238,13 @@ class TestFitCache:
         rng = np.random.default_rng(8)
         u, w = rng.normal(size=6), rng.uniform(1, 4, size=6)
         k = GaussianKernel(1.0)
-        m = fit(u, rng.normal(size=6), w, 0.2, k)
+        m = fit(u, rng.normal(size=6), w, 0.2 * 6, k)
         lt = m.factor
         np.testing.assert_allclose(lt.T @ lt,
                                    k.gram(u) * np.outer(np.sqrt(w), np.sqrt(w)),
                                    atol=1e-12)
         r = np.tril(m.inner[0])
-        np.testing.assert_allclose(r @ r.T, lt @ lt.T + m.system_ridge *
+        np.testing.assert_allclose(r @ r.T, lt @ lt.T + m.ridge *
                                    np.eye(m.rank), atol=1e-12)
 
     def test_tiny_ridge_refused(self):
@@ -252,29 +253,31 @@ class TestFitCache:
         for lam in (1e-300, 1e-20):
             with pytest.raises(DomainError, match="round-off"):
                 fit([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], lam,
-                    GaussianKernel(1.0), lam_scale="none")
+                    GaussianKernel(1.0))
 
 
 class TestPredict:
     def test_far_field_decays(self):
-        m = fit([0.0, 1.0], [1.0, 1.0], [1.0, 1.0], 0.1, GaussianKernel(1.0))
+        m = fit([0.0, 1.0], [1.0, 1.0], [1.0, 1.0], 0.1 * 2,
+                GaussianKernel(1.0))
         assert abs(m.predict(60.0)) < 1e-12
 
     def test_antisymmetric_pair_zero_at_origin(self):
-        m = fit([-1.0, 1.0], [-1.0, 1.0], [1.0, 1.0], 0.2, GaussianKernel(1.0))
+        m = fit([-1.0, 1.0], [-1.0, 1.0], [1.0, 1.0], 0.2 * 2,
+                GaussianKernel(1.0))
         assert m.predict(0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_bounded_by_coefficient_mass(self):
         rng = np.random.default_rng(5)
         m = fit(rng.normal(size=9), rng.normal(size=9),
-                rng.uniform(1, 4, size=9), 0.05, GaussianKernel(0.9))
+                rng.uniform(1, 4, size=9), 0.05 * 9, GaussianKernel(0.9))
         bound = np.sum(np.abs(m.dual_coeffs))
         for u in rng.normal(size=50):
             assert abs(m.predict(float(u))) <= bound + 1e-12
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(6)
-        m = fit(rng.normal(size=7), rng.normal(size=7), np.ones(7), 0.1,
+        m = fit(rng.normal(size=7), rng.normal(size=7), np.ones(7), 0.1 * 7,
                 GaussianKernel(1.1))
         us = rng.normal(size=6)
         batch = m.predict(us)
@@ -316,14 +319,19 @@ def supports(draw):
     return u, y, w, bandwidth
 
 
-def pivot_hint(kind, u, y, w, lam, kernel, lam_scale, seed):
+def ridge_of(lam, scale, n):
+    """The ridge of ``n`` rows: ``lam`` scaled by the support size or not."""
+    return lam * n if scale == "support" else lam
+
+
+def pivot_hint(kind, u, y, w, lam, kernel, scale, seed):
     """A ``pivots`` hint of the given kind for the support ``(u, y, w)``."""
     n = u.size
     rng = np.random.default_rng(seed)
     if kind == "previous":
         # the policy's case: the pivots of a fit a few rows earlier
         m = max(1, n - int(rng.integers(1, 11)))
-        return fit(u[:m], y[:m], w[:m], lam, kernel, lam_scale).pivots
+        return fit(u[:m], y[:m], w[:m], ridge_of(lam, scale, m), kernel).pivots
     if kind == "random":
         return rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
     if kind == "full":
@@ -356,20 +364,20 @@ class TestFitPivoted:
            st.sampled_from(["previous", "random", "full", "duplicates",
                             "empty"]),
            st.integers(0, 2**32 - 1))
-    def test_predictions_match_exact_fit(self, support, lam_scale, lam,
+    def test_predictions_match_exact_fit(self, support, scale, lam,
                                          hint_kind, hint_seed):
         u, y, w, bandwidth = support
         k = GaussianKernel(bandwidth)
-        exact = DenseKrr(u, y, w, lam, k, lam_scale)
-        hint = pivot_hint(hint_kind, u, y, w, lam, k, lam_scale, hint_seed)
-        pivoted = fit(u, y, w, lam, k, lam_scale, pivots=hint)
+        exact = DenseKrr(u, y, w, ridge_of(lam, scale, u.size), k)
+        hint = pivot_hint(hint_kind, u, y, w, lam, k, scale, hint_seed)
+        pivoted = fit(u, y, w, ridge_of(lam, scale, u.size), k, pivots=hint)
         grid = np.concatenate([np.linspace(-4.0, 4.0, 161), u])
         np.testing.assert_allclose(pivoted.predict(grid), exact.predict(grid),
                                    rtol=0, atol=1e-9)
         np.testing.assert_allclose(build_covariance(pivoted).one_minus_h,
                                    exact.one_minus_h(), rtol=0, atol=1e-10)
         # the stopping rule, up to the round-off of the subtraction
-        ridge = pivoted.system_ridge
+        ridge = pivoted.ridge
         scale = np.sqrt(w.sum()) * np.linalg.norm(np.sqrt(w) * y)
         tol = PREDICTION_TOL * ridge * ridge / max(scale, ridge)
         eps_slack = 64 * np.finfo(float).eps * w.sum()
@@ -381,18 +389,19 @@ class TestFitPivoted:
         u = np.arange(n, dtype=float) * 0.4
         y = np.linspace(-1.0, 1.0, n)
         w = np.full(n, 1e3)
-        for lam_scale in ("none", "support"):
-            exact = DenseKrr(u, y, w, 0.7, GaussianKernel(0.5), lam_scale)
-            pivoted = fit(u, y, w, 0.7, GaussianKernel(0.5), lam_scale)
+        for scale in ("none", "support"):
+            ridge = ridge_of(0.7, scale, n)
+            exact = DenseKrr(u, y, w, ridge, GaussianKernel(0.5))
+            pivoted = fit(u, y, w, ridge, GaussianKernel(0.5))
             assert pivoted.predict(0.1) == pytest.approx(exact.predict(0.1),
                                                          abs=1e-12)
 
     def test_far_apart_points_need_full_rank(self):
         u = np.arange(40, dtype=float) * 100.0
         y = np.cos(u)
-        pivoted = fit(u, y, np.ones(40), 0.5, GaussianKernel(1.0), "none")
+        pivoted = fit(u, y, np.ones(40), 0.5, GaussianKernel(1.0))
         assert pivoted.rank == 40
-        exact = DenseKrr(u, y, np.ones(40), 0.5, GaussianKernel(1.0), "none")
+        exact = DenseKrr(u, y, np.ones(40), 0.5, GaussianKernel(1.0))
         np.testing.assert_allclose(pivoted.dual_coeffs, exact.dual_coeffs,
                                    rtol=0, atol=1e-12)
 
@@ -401,11 +410,11 @@ class TestFitPivoted:
         u = rng.normal(size=800)
         w = 1.0 / np.where(rng.uniform(size=800) < 0.1, 0.005, 0.9)
         k = GaussianKernel(median_bandwidth(u))
-        pivoted = fit(u, np.sin(u), w, 0.7, k, "none")
+        pivoted = fit(u, np.sin(u), w, 0.7, k)
         assert pivoted.rank <= 40
 
     def test_zero_rewards_give_zero_coefficients(self):
-        pivoted = fit([0.0, 1.0], [0.0, 0.0], [1.0, 2.0], 0.5,
+        pivoted = fit([0.0, 1.0], [0.0, 0.0], [1.0, 2.0], 0.5 * 2,
                       GaussianKernel(1.0))
         assert np.all(pivoted.dual_coeffs == 0.0)
         assert pivoted.predict(0.5) == 0.0
@@ -413,8 +422,8 @@ class TestFitPivoted:
     def test_holds_no_square_array(self):
         rng = np.random.default_rng(4)
         n = 30
-        pivoted = fit(rng.normal(size=n), rng.normal(size=n), np.ones(n), 0.5,
-                      GaussianKernel(1.0))
+        pivoted = fit(rng.normal(size=n), rng.normal(size=n), np.ones(n),
+                      0.5 * n, GaussianKernel(1.0))
         assert pivoted.rank < n
         arrays = [v for v in vars(pivoted).values() if isinstance(v, np.ndarray)]
         for a in arrays + [pivoted.inner[0]]:
@@ -425,8 +434,8 @@ class TestFitPivoted:
             fit([0.0], [1.0], [0.0], 0.1, GaussianKernel(1.0))
         with pytest.raises(DomainError):
             fit([], [], [], 0.1, GaussianKernel(1.0))
-        with pytest.raises(DomainError):
-            fit([0.0], [1.0], [1.0], 0.1, GaussianKernel(1.0), "bogus")
+        with pytest.raises(DomainError, match="ridge"):
+            fit([0.0], [1.0], [1.0], 0.0, GaussianKernel(1.0))
 
     def test_empty_hint_is_the_cold_fit(self):
         """An empty hint is the cold start, bit for bit."""
@@ -434,9 +443,9 @@ class TestFitPivoted:
         u, y = rng.normal(size=50), rng.normal(size=50)
         w = rng.uniform(1.0, 300.0, size=50)
         k = GaussianKernel(0.6)
-        cold = fit(u, y, w, 0.5, k)
+        cold = fit(u, y, w, 0.5 * 50, k)
         for hint in ((), [], np.empty(0, dtype=int)):
-            again = fit(u, y, w, 0.5, k, pivots=hint)
+            again = fit(u, y, w, 0.5 * 50, k, pivots=hint)
             assert np.array_equal(again.dual_coeffs, cold.dual_coeffs)
             assert np.array_equal(again.pivots, cold.pivots)
 
@@ -447,9 +456,9 @@ class TestFitPivoted:
         w = 1.0 / np.where(rng.uniform(size=600) < 0.1, 0.005, 0.9)
         y = np.sin(u) + 0.1 * rng.normal(size=600)
         k = GaussianKernel(median_bandwidth(u))
-        before = fit(u[:590], y[:590], w[:590], 0.7, k, "none")
-        cold = fit(u, y, w, 0.7, k, "none")
-        warm = fit(u, y, w, 0.7, k, "none", pivots=before.pivots)
+        before = fit(u[:590], y[:590], w[:590], 0.7, k)
+        cold = fit(u, y, w, 0.7, k)
+        warm = fit(u, y, w, 0.7, k, pivots=before.pivots)
         taken = np.intersect1d(warm.pivots, before.pivots).size
         assert taken >= before.rank - 3
         assert warm.rank - taken < cold.rank // 2
@@ -459,5 +468,5 @@ class TestFitPivoted:
     def test_rejects_out_of_range_pivots(self):
         for hint in ([2], [-1]):
             with pytest.raises(DomainError, match="pivots"):
-                fit([0.0, 1.0], [1.0, 0.0], [1.0, 1.0], 0.5,
+                fit([0.0, 1.0], [1.0, 0.0], [1.0, 1.0], 0.5 * 2,
                     GaussianKernel(1.0), pivots=hint)

@@ -22,13 +22,13 @@ def fitted_model(rng, n=12, wmax=6.0, bw=1.0, lam=0.4):
     u = rng.normal(size=n)
     y = rng.normal(size=n)
     w = rng.uniform(1.0, wmax, size=n)
-    return fit(u, y, w, lam, GaussianKernel(bw), lam_scale="none")
+    return fit(u, y, w, lam, GaussianKernel(bw))
 
 
 def oracle(model):
     """The dense solve of ``model``'s system."""
     return DenseKrr(model.support_u, model.support_y, model.support_w,
-                    model.system_ridge, model.kernel, lam_scale="none")
+                    model.ridge, model.kernel)
 
 
 class TestBuildCovariance:
@@ -44,7 +44,7 @@ class TestBuildCovariance:
         rng = np.random.default_rng(0)
         u = np.linspace(-1, 1, 5)
         y = rng.normal(size=5)
-        m = fit(u, y, np.ones(5), 1e-10, GaussianKernel(1.0))
+        m = fit(u, y, np.ones(5), 1e-10 * 5, GaussianKernel(1.0))
         cov = build_covariance(m, 0.5)
         assert cov.d2(0.3) == pytest.approx(0.0, abs=1e-8)
 
@@ -55,8 +55,9 @@ class TestBuildCovariance:
         w = rng.uniform(1, 5, size=10)
         k = GaussianKernel(1.0)
         c = 3.7
-        d2_base = build_covariance(fit(u, y, w, 0.3, k), 0.5).d2(0.1)
-        d2_scaled = build_covariance(fit(u, c * y, w, 0.3, k), 0.5).d2(0.1)
+        ridge = 0.3 * u.size
+        d2_base = build_covariance(fit(u, y, w, ridge, k), 0.5).d2(0.1)
+        d2_scaled = build_covariance(fit(u, c * y, w, ridge, k), 0.5).d2(0.1)
         assert d2_scaled == pytest.approx(c * c * d2_base, rel=1e-9)
 
     def test_d2_nonnegative(self):
@@ -85,15 +86,16 @@ class TestBuildCovariance:
 
 
 class TestSharedFactor:
-    @pytest.mark.parametrize("lam_scale", ["support", "none"])
-    def test_loo_leverage_matches_explicit_inverse(self, lam_scale):
+    @pytest.mark.parametrize("scale", ["support", "none"])
+    def test_loo_leverage_matches_explicit_inverse(self, scale):
         rng = np.random.default_rng(10)
         for _ in range(30):
             n = int(rng.integers(1, 40))
-            m = fit(rng.normal(size=n), rng.normal(size=n),
-                    rng.uniform(1.0, 50.0, size=n),
-                    float(rng.uniform(1e-3, 0.5)),
-                    GaussianKernel(float(rng.uniform(0.3, 2.0))), lam_scale)
+            u, y = rng.normal(size=n), rng.normal(size=n)
+            w = rng.uniform(1.0, 50.0, size=n)
+            lam = float(rng.uniform(1e-3, 0.5))
+            m = fit(u, y, w, lam * n if scale == "support" else lam,
+                    GaussianKernel(float(rng.uniform(0.3, 2.0))))
             cov = build_covariance(m, 0.5, residual_mode="loo")
             np.testing.assert_allclose(cov.one_minus_h, oracle(m).one_minus_h(),
                                        rtol=0, atol=1e-10)
@@ -158,7 +160,7 @@ class TestDenseOracle:
         kernel = GaussianKernel(median_bandwidth(u))
         tracemalloc.start()
         try:
-            m = fit(u, y, w, ridge_schedule(9999), kernel, lam_scale="none")
+            m = fit(u, y, w, ridge_schedule(9999), kernel)
             cov = build_covariance(m, 0.5, residual_mode="loo")
             d2 = cov.d2(np.linspace(-2.0, 2.0, 64))
             peak = tracemalloc.get_traced_memory()[1]
@@ -174,7 +176,7 @@ class TestLeverageClipCount:
         u = np.linspace(-2.0, 2.0, 15)
         for lam, expect_some in ((1e-6, True), (5.0, False)):
             m = fit(u, rng.normal(size=15), np.ones(15), lam,
-                    GaussianKernel(0.3), lam_scale="none")
+                    GaussianKernel(0.3))
             cov = build_covariance(m, 0.5, residual_mode="loo")
             expected = int(np.sum(oracle(m).one_minus_h() < 0.05))
             assert cov.n_leverage_clipped == expected
@@ -184,7 +186,8 @@ class TestLeverageClipCount:
 
 class TestPointwiseCi:
     def test_zero_variance_degenerate_interval(self):
-        m = fit([0.0, 1.0], [0.5, 0.5], [1.0, 1.0], 0.2, GaussianKernel(1.0))
+        m = fit([0.0, 1.0], [0.5, 0.5], [1.0, 1.0], 0.2 * 2,
+                GaussianKernel(1.0))
         cov = build_covariance(m, 0.5)
         cov._resid[:] = 0.0
         ci = pointwise_ci(m, cov, 0.5, 0.05, 10, 0.5)
@@ -219,8 +222,7 @@ class TestPointwiseCi:
             u = rng.normal(size=n)
             truth_fn = lambda z: 0.6 + 0.4 * np.tanh(z)
             y = truth_fn(u) + 0.1 * rng.normal(size=n)
-            m = fit(u, y, np.ones(n), 1e-3, GaussianKernel(1.0),
-                    lam_scale="none")
+            m = fit(u, y, np.ones(n), 1e-3, GaussianKernel(1.0))
             cov = build_covariance(m, 0.5)
             for ustar in rng.normal(size=2):
                 ci = pointwise_ci(m, cov, float(ustar), 0.05, n, 0.5)
@@ -298,7 +300,7 @@ class TestShrinkage:
             u, y = u_all[:n], y_all[:n]
             from ksib.kernel_ridge import median_bandwidth, ridge_schedule
             m = fit(u, y, np.ones(n), ridge_schedule(n),
-                    GaussianKernel(median_bandwidth(u)), lam_scale="none")
+                    GaussianKernel(median_bandwidth(u)))
             cov = build_covariance(m, 0.5)
             hs = [pointwise_ci(m, cov, float(v), 0.05, n, 0.5).half_width
                   for v in np.linspace(-1.5, 1.5, 13)]

@@ -11,8 +11,8 @@ from scipy.special import gammainc
 
 from ksib import numerics
 from ksib.errors import DomainError, SingularityError
-from ksib.numerics import (Rng, chi2_quantile, factor_spd, median,
-                           min_eigenvalue, normal_quantile, solve_spd)
+from ksib.numerics import (Rng, chi2_quantile, factor_spd, min_eigenvalue,
+                           normal_quantile, solve_spd)
 
 
 def phi_series(x):
@@ -226,21 +226,6 @@ class TestMinEigenvalue:
         for _ in range(50):
             a = rng.normal(size=(6, 6))
             assert min_eigenvalue(a.T @ a) >= -1e-12
-
-
-class TestMedian:
-    def test_odd(self):
-        assert median([3, 1, 2]) == 2
-
-    def test_even_lower(self):
-        assert median([1, 2, 3, 4]) == 2
-
-    def test_singleton(self):
-        assert median([7]) == 7
-
-    def test_empty(self):
-        with pytest.raises(DomainError):
-            median([])
 
 
 class TestRng:

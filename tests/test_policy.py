@@ -10,16 +10,17 @@ from dense_krr import DenseKrr
 from ksib import kernel_ridge
 from ksib import policy as policy_module
 from ksib.environment import SyntheticEnv, sample_canonical_betas
-from ksib.errors import StateError
+from ksib.errors import ConfigError, StateError
 from ksib.harness import Scenario, run_trajectory
+from ksib.kernel_ridge import ridge_schedule
 from ksib.numerics import Rng
-from ksib.policy import EpsilonGreedyPolicy, EpsilonSchedule, PolicyConfig
+from ksib.policy import EpsilonGreedyPolicy
 from ksib.score_features import KnownGaussianScore
 
 
-def make_policy(seed=0, n_arms=2, dim=2, warm_start=10, **kw):
-    cfg = PolicyConfig(n_arms=n_arms, dim=dim, warm_start=warm_start, **kw)
-    return EpsilonGreedyPolicy(cfg, KnownGaussianScore.standard(dim), Rng(seed))
+def make_policy(seed=0, n_arms=2, d=2, T0=10, **kw):
+    sc = Scenario(n_arms=n_arms, d=d, T0=T0, **kw)
+    return EpsilonGreedyPolicy(sc, KnownGaussianScore.standard(d), Rng(seed))
 
 
 def run_rounds(policy, env, rounds):
@@ -32,25 +33,54 @@ def run_rounds(policy, env, rounds):
 
 class TestEpsilonSchedule:
     def test_first_round(self):
-        assert EpsilonSchedule().value(1) == pytest.approx(0.15)
+        assert Scenario().epsilon(1) == pytest.approx(0.15)
 
     def test_power_decay(self):
-        assert EpsilonSchedule().value(10) == pytest.approx(0.05972, abs=1e-5)
+        assert Scenario().epsilon(10) == pytest.approx(0.05972, abs=1e-5)
 
     def test_floor_clamp(self):
-        assert EpsilonSchedule().value(10 ** 9) == 0.005
+        assert Scenario().epsilon(10 ** 9) == 0.005
 
     def test_cap_clamp(self):
-        assert EpsilonSchedule(coeff=5.0).value(1) == 0.35
+        assert Scenario(eps_coeff=5.0).epsilon(1) == 0.35
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            EpsilonSchedule(floor=0.5, cap=0.4)
+        with pytest.raises(ConfigError, match="eps_floor"):
+            Scenario(eps_floor=0.5, eps_cap=0.4).validate()
+
+
+class TestLinkRidge:
+    @pytest.mark.parametrize("mode", ["plain", "support-scaled"])
+    @pytest.mark.parametrize("clock", ["rounds", "pulls"])
+    def test_schedule_times_support_size(self, mode, clock):
+        """The schedule at the chosen clock, times the support size only
+        when support-scaled, to the last bit."""
+        sc = Scenario(krr_ridge_mode=mode, ridge_time=clock, zeta=0.07)
+        for t, n in [(0, 3), (1, 1), (51, 26), (999, 719), (10 ** 4, 7219)]:
+            lam = ridge_schedule(max(t if clock == "rounds" else n, 1), 0.07)
+            scale = n if mode == "support-scaled" else 1
+            assert sc.link_ridge(t, n) == lam * scale
+
+    def test_refits_use_the_scenario_ridge(self, monkeypatch):
+        ridges = []
+
+        def recording_fit(u, y, w, ridge, *args, **kwargs):
+            ridges.append((policy.t, u.size, ridge))
+            return kernel_ridge.fit(u, y, w, ridge, *args, **kwargs)
+
+        monkeypatch.setattr(policy_module, "fit", recording_fit)
+        policy = make_policy(seed=4, T0=10, krr_ridge_mode="support-scaled",
+                             ridge_time="pulls")
+        env = SyntheticEnv(sample_canonical_betas(2, 2, Rng(5)), 0.05, Rng(3))
+        run_rounds(policy, env, 60)
+        assert len(ridges) > 40
+        for t, n, ridge in ridges:
+            assert ridge == policy.config.link_ridge(t, n)
 
 
 class TestSelectionLaw:
     def test_warm_start_round_robin(self):
-        policy = make_policy(n_arms=3, warm_start=9)
+        policy = make_policy(n_arms=3, T0=9)
         links = tuple(lambda z, c=c: c + 0.1 * np.tanh(z)
                       for c in (0.3, 0.5, 0.7))
         env = SyntheticEnv(sample_canonical_betas(2, 3, Rng(5)), 0.0, Rng(1),
@@ -60,7 +90,7 @@ class TestSelectionLaw:
         assert all(r.propensity == pytest.approx(1 / 3) for r in recs)
 
     def test_warm_start_equal_pulls(self):
-        policy = make_policy(warm_start=50)
+        policy = make_policy(T0=50)
         env = SyntheticEnv(sample_canonical_betas(2, 2, Rng(5)), 0.0, Rng(1))
         recs = run_rounds(policy, env, 50)
         arms = [r.arm for r in recs]
@@ -68,7 +98,7 @@ class TestSelectionLaw:
 
     def test_propensity_values(self):
         """Recorded propensity re-derives exactly from (eps, greedy, arm)."""
-        policy = make_policy(seed=3, warm_start=6)
+        policy = make_policy(seed=3, T0=6)
         env = SyntheticEnv(sample_canonical_betas(2, 2, Rng(5)), 0.05, Rng(2))
         recs = run_rounds(policy, env, 300)
         for rec in recs:
@@ -84,7 +114,7 @@ class TestSelectionLaw:
         """Non-greedy pulls concentrate around sum(eps_t)."""
         total, expect, var = 0, 0.0, 0.0
         for seed in range(10):
-            policy = make_policy(seed=seed, warm_start=10)
+            policy = make_policy(seed=seed, T0=10)
             env = SyntheticEnv(sample_canonical_betas(2, 2, Rng(5)), 0.05,
                                Rng(100 + seed))
             recs = run_rounds(policy, env, 400)
@@ -101,14 +131,14 @@ class TestSelectionLaw:
         assert propensity(2, 0, 0.3, 100, 10, 4) == pytest.approx(0.1)
 
     def test_greedy_undefined_during_warm_start(self):
-        policy = make_policy(warm_start=10)
+        policy = make_policy(T0=10)
         with pytest.raises(StateError):
             policy.greedy_arm(np.zeros(2))
 
 
 class TestGreedyArm:
     def test_tie_breaks_to_lowest_id(self):
-        policy = make_policy(warm_start=2)
+        policy = make_policy(T0=2)
         env = SyntheticEnv(sample_canonical_betas(2, 2, Rng(5)), 0.0, Rng(3))
         run_rounds(policy, env, 2)
         # wipe both arms' models: every prediction is 0.0, a tie
@@ -117,7 +147,7 @@ class TestGreedyArm:
         assert policy.greedy_arm(np.array([1.0, 1.0])) == 0
 
     def test_matches_bruteforce_prediction(self):
-        policy = make_policy(seed=9, warm_start=20)
+        policy = make_policy(seed=9, T0=20)
         env = SyntheticEnv(sample_canonical_betas(2, 2, Rng(5)), 0.05, Rng(4))
         run_rounds(policy, env, 120)
         for _ in range(20):
@@ -139,7 +169,7 @@ def state_digest(arm_state):
 
 class TestSingleArmUpdate:
     def test_non_pulled_arm_state_unchanged(self):
-        policy = make_policy(seed=5, warm_start=6)
+        policy = make_policy(seed=5, T0=6)
         env = SyntheticEnv(sample_canonical_betas(2, 2, Rng(5)), 0.05, Rng(6))
         run_rounds(policy, env, 30)
         for _ in range(40):
@@ -158,7 +188,7 @@ class TestDeterminism:
     def test_same_seed_identical_trajectory(self):
         logs = []
         for _ in range(2):
-            policy = make_policy(seed=11, warm_start=10)
+            policy = make_policy(seed=11, T0=10)
             env = SyntheticEnv(sample_canonical_betas(2, 2, Rng(5)), 0.1,
                                Rng(12))
             recs = run_rounds(policy, env, 200)
@@ -169,7 +199,7 @@ class TestDeterminism:
     def test_estimates_bit_identical(self):
         digests = []
         for _ in range(2):
-            policy = make_policy(seed=13, warm_start=10)
+            policy = make_policy(seed=13, T0=10)
             env = SyntheticEnv(sample_canonical_betas(2, 2, Rng(5)), 0.1,
                                Rng(14))
             run_rounds(policy, env, 150)
@@ -236,7 +266,7 @@ class TestWarmStartedRefit:
             return kernel_ridge.fit(*args, pivots=pivots, **kwargs)
 
         monkeypatch.setattr(policy_module, "fit", recording_fit)
-        policy = make_policy(seed=2, warm_start=10)
+        policy = make_policy(seed=2, T0=10)
         env = SyntheticEnv(sample_canonical_betas(2, 2, Rng(5)), 0.05, Rng(3))
         run_rounds(policy, env, 120)
         assert hints[0] == 0 and sum(h > 0 for h in hints) > 100
@@ -254,7 +284,7 @@ class TestSupportBuffers:
             return kernel_ridge.fit(u, y, w, *args, **kwargs)
 
         monkeypatch.setattr(policy_module, "fit", recording_fit)
-        policy = make_policy(seed=seed, warm_start=10)
+        policy = make_policy(seed=seed, T0=10)
         env = SyntheticEnv(sample_canonical_betas(2, 2, Rng(5)), 0.05,
                            Rng(seed))
         history = {0: ([], [], []), 1: ([], [], [])}
