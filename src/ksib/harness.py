@@ -116,6 +116,12 @@ class Scenario:
             raise ConfigError("p_min must be in (0,1]")
         if not (0 < self.eps_floor <= self.eps_cap < 1):
             raise ConfigError("need 0 < eps_floor <= eps_cap < 1")
+        if self.eps_coeff <= 0:
+            raise ConfigError("eps_coeff must be positive: eps_t would be eps_floor")
+        if self.eps_exponent < 0:
+            raise ConfigError("eps_exponent must be nonnegative: eps_t would grow")
+        if self.zeta < 0:
+            raise ConfigError("zeta must be nonnegative: the ridge t^-zeta would grow")
         if self.score not in ("known", "empirical"):
             raise ConfigError("score must be 'known' or 'empirical'")
         if self.krr_ridge_mode not in ("plain", "support-scaled"):
@@ -210,21 +216,23 @@ class TrajectoryLog:
         dim = len(header) - 6
         if not rows:
             raise DomainError("empty audit log")
-        log = cls.empty(len(rows), dim)
-        for i, row in enumerate(rows):
-            # line 1 of the file is the header
-            if len(row) != len(header):
-                raise DomainError(f"audit log line {i + 2}: {len(row)} cells, "
-                                  f"expected {len(header)}")
-            try:
-                log.contexts[i] = [float(v) for v in row[1:1 + dim]]
-                log.greedy[i] = int(row[1 + dim])
-                log.arm[i] = int(row[2 + dim])
-                log.propensity[i] = float(row[3 + dim])
-                log.reward[i] = float(row[4 + dim])
-                log.epsilon[i] = float(row[5 + dim])
-            except ValueError as exc:
-                raise DomainError(f"audit log line {i + 2}: {exc}") from exc
+        kinds = [float] * dim + [int, int, float, float, float]
+        try:
+            # one pass per column; numpy converts each cell by its float() or int()
+            cols = [np.array(c, dtype=k) for k, c in zip(kinds, list(zip(*rows))[1:])]
+        except ValueError:
+            cols = None
+        if cols is None or any(len(row) != len(header) for row in rows):
+            for i, row in enumerate(rows):   # name the first bad row; line 1 is the header
+                if len(row) != len(header):
+                    raise DomainError(f"audit log line {i + 2}: {len(row)} cells, "
+                                      f"expected {len(header)}")
+                try:
+                    for kind, cell in zip(kinds, row[1:]):
+                        kind(cell)
+                except ValueError as exc:
+                    raise DomainError(f"audit log line {i + 2}: {exc}") from exc
+        log = cls(np.array(cols[:dim]).reshape(dim, len(rows)).T.copy(), *cols[dim:])
         cells = np.column_stack([log.contexts, log.propensity, log.reward,
                                  log.epsilon])
         bad = np.argwhere(~np.isfinite(cells))

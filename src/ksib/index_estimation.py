@@ -10,6 +10,7 @@ unknown link).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +62,10 @@ class IndexAccumulator:
         if not pulled:
             return
         w = np.asarray(w, dtype=float)
-        if w.shape != (self.dim,) or not np.all(np.isfinite(w)) or not np.isfinite(y):
+        if w.shape != (self.dim,) or not np.isfinite(w).all() or not math.isfinite(y):
             raise DomainError("nonfinite or mis-shaped observation rejected")
         weight = 1.0 / max(propensity, p_min)
-        self.sum_gram += weight * np.outer(w, w)
+        self.sum_gram += weight * (w[:, None] * w)   # weight * np.outer(w, w)
         self.sum_moment += (weight * y) * w
         self.pulls += 1
 
@@ -80,13 +81,13 @@ def _solve_normal_equations(sum_gram, sum_moment, t: int,
         raise DomainError("estimate_beta requires at least one round")
     if lambda_beta < 0:
         raise DomainError("lambda_beta must be nonnegative")
-    dim = sum_moment.size
     moment_gram = sum_gram / t
-    gram = moment_gram + lambda_beta * np.eye(dim)
+    gram = moment_gram + 0.0   # like + lambda_beta * I, turns an off-diagonal -0.0 to 0.0
+    gram.flat[::sum_moment.size + 1] += lambda_beta
     beta = solve_spd(gram, sum_moment / t)
-    norm = float(np.linalg.norm(beta))
+    norm = math.sqrt(beta.dot(beta))   # as np.linalg.norm computes it
     if norm == 0.0:
-        return IndexEstimate(beta, np.zeros(dim), gram, moment_gram,
+        return IndexEstimate(beta, np.zeros(beta.size), gram, moment_gram,
                              lambda_beta, t, degenerate=True)
     return IndexEstimate(beta, beta / norm, gram, moment_gram, lambda_beta, t)
 

@@ -22,8 +22,8 @@ the same Woodbury form without factoring anything again.
 
 A fit may be warm-started with ``pivots``, support indices to try first: the
 policy passes the pivots of the arm's previous fit, since a support that has
-gained a few rows needs nearly the same pivots.  Their columns are computed
-in blocks by LAPACK (``dpstrf`` on the hints' m x m block, one triangular
+gained a few rows needs nearly the same pivots.  Their columns come from one
+kernel block through LAPACK (``dpstrf`` on its hint columns, one triangular
 solve for the panel of the kept ones) instead of one greedy step per column;
 the greedy loop then continues to the same stopping rule, so the certificate
 is unchanged and only the factor's round-off differs.  Inference snapshots
@@ -33,12 +33,12 @@ an audit log reproduces it bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpstrf
+from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf
 
 from .errors import DomainError
 
@@ -60,6 +60,7 @@ ROUNDOFF_TOL = 1e-5
 # hinted pivots are taken while every multiplier |L_sj| / L_jj of the factor
 # stays within this bound, which caps the round-off they can amplify
 HINT_GROWTH = 32.0
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,10 @@ class GaussianKernel:
 
     def __call__(self, u, v):
         u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        diff = np.subtract.outer(u, v) if (u.ndim and v.ndim) else np.asarray(u - v)
+        # a float point (np.float64 is one) skips the conversion, not the arithmetic
+        v = v if isinstance(v, float) else np.asarray(v, dtype=float)
+        diff = (np.subtract.outer(u, v) if (u.ndim and getattr(v, "ndim", 0))
+                else np.asarray(u - v))
         # exp(-0.5 * (diff / bandwidth) ** 2), evaluated inside one buffer
         np.divide(diff, self.bandwidth, out=diff)
         np.square(diff, out=diff)
@@ -234,7 +237,7 @@ class KrrModel:
 
     def predict(self, u):
         """Evaluate ``sum_s k(u_s, u) c_s`` at one point or an array."""
-        k = self.kernel(self.support_u, np.asarray(u, dtype=float))
+        k = self.kernel(self.support_u, u)
         return k.T @ self.dual_coeffs if k.ndim == 2 else float(k @ self.dual_coeffs)
 
 
@@ -258,21 +261,24 @@ def fit(support_u, support_y, support_w, ridge: float, kernel: GaussianKernel,
     exact one, which bounds the error of the leverages ``1 - h_s`` by
     ``PREDICTION_TOL``.  Those bounds are for exact arithmetic; the factor's
     own round-off, of order machine epsilon times ``r sum(w)``, comes on
-    top.  At r = n the factor is exact.
+    top.  At r = n the factor is exact.  The r x r system is factored by
+    LAPACK's ``dpotrf`` and solved by ``dpotrs``, the routines
+    ``cho_factor``/``cho_solve`` wrap, called directly to save their
+    per-call cost; a failed factorization raises ``LinAlgError``.
 
     ``pivots`` warm-starts the factor with support indices to try first
-    (repeats are ignored).  LAPACK's ``dpstrf`` factors their m x m block
-    ``D_P K[P, P] D_P`` (greedy within P, dropping near-dependent hints at
-    its default tolerance), and one triangular solve against the kept
-    columns ``D K[:, Q] D_Q`` gives the rank-k panel of ``L``.  A hint need
-    not hold the largest residuals, so the panel is cut before the first
-    pivot whose multipliers ``|L_sj| / L_jj`` exceed ``HINT_GROWTH``;
-    without the cut, a hint such as two close points among heavier ones
-    would leave a panel whose round-off hides the residual.  The greedy
-    loop then continues from the residual diagonal until the same stopping
-    rule holds, so the bounds above hold for any hint.  An empty hint is
-    the cold start, bit for bit.  Only the policy passes one; inference
-    snapshots stay cold, so they depend on the log alone.
+    (repeats are ignored).  One kernel block ``D_P K[P, :] D`` serves the
+    hints: LAPACK's ``dpstrf`` factors its m x m columns P (greedy within
+    P, dropping near-dependent hints at its default tolerance), and one
+    ``dtrsm`` against its rows Q for the kept pivots gives the rank-k panel
+    of ``L``.  A hint need not hold the largest residuals, so the panel is
+    cut before the first pivot whose multipliers ``|L_sj| / L_jj`` exceed
+    ``HINT_GROWTH``; without the cut, a hint such as two close points among
+    heavier ones would leave a panel whose round-off hides the residual.
+    The greedy loop then continues from the residual diagonal until the
+    same stopping rule holds, so the bounds above hold for any hint.  An
+    empty hint is the cold start, bit for bit.  Only the policy passes one;
+    inference snapshots stay cold, so they depend on the log alone.
 
     Raises :class:`DomainError` when ``eps * sum(w) / ridge`` exceeds
     ``ROUNDOFF_TOL``: the Woodbury solve then loses about that much of the
@@ -286,43 +292,42 @@ def fit(support_u, support_y, support_w, ridge: float, kernel: GaussianKernel,
         raise DomainError("empty support")
     if n != y.size or n != w.size:
         raise DomainError("support arrays must share a length")
-    if np.any(w <= 0):
+    if not (w > 0).all():
         raise DomainError("support weights must be positive; drop zero-weight rows")
     if not (ridge > 0):
         raise DomainError("ridge must be positive")
-    roundoff = np.finfo(float).eps * float(w.sum()) / ridge
+    w_sum = float(w.sum())
+    roundoff = EPS * w_sum / ridge
     if not (roundoff <= ROUNDOFF_TOL):
         raise DomainError(f"ridge {ridge:.3g} too small for weights summing to "
-                          f"{w.sum():.3g}: round-off estimate {roundoff:.2g} "
+                          f"{w_sum:.3g}: round-off estimate {roundoff:.2g} "
                           f"exceeds {ROUNDOFF_TOL:g}")
     sqrt_w = np.sqrt(w)
     rhs = sqrt_w * y
-    scale = float(np.sqrt(w.sum()) * np.linalg.norm(rhs))
+    scale = math.sqrt(w_sum) * math.sqrt(rhs.dot(rhs))   # |D y| as np.linalg.norm
     tol = PREDICTION_TOL * ridge * ridge / max(scale, ridge)
     resid = w * kernel.diag(u)
     hint = np.unique(np.asarray(pivots, dtype=np.intp))
-    if hint.size and not (0 <= hint.min() and hint.max() < n):
+    if hint.size and not (0 <= hint[0] and hint[-1] < n):
         raise DomainError(f"pivots must index the support of size {n}")
     order = np.empty(n, dtype=np.intp)   # the pivots, in order
     rank = 0
     if hint.size:
-        # D_P K[P, P] D_P, then D_Q K[Q, :] D for the rank pivots Q it keeps
-        block = kernel(u[hint], u[hint])
+        # one block D_P K[P, :] D: dpstrf factors its columns P, and the
+        # rows of the rank pivots Q it keeps give the panel
+        block = kernel(u[hint], u)
         block *= sqrt_w[hint, None]
-        block *= sqrt_w[hint]
-        c, piv, rank, _ = dpstrf(block, lower=1)
+        block *= sqrt_w
+        c, piv, rank, _ = dpstrf(block[:, hint], lower=1)
         order[:rank] = hint[piv[:rank] - 1]
     lt = np.empty((min(n, rank + 32), n))   # L^T: row j is column j of L
     if rank:
-        block = kernel(u[order[:rank]], u)
-        block *= sqrt_w[order[:rank], None]
-        block *= sqrt_w
         # the panel solves X L11^T = D K[:, Q] D_Q for the n x rank block X
-        lt[:rank] = dtrsm(1.0, c[:rank, :rank], block.T, side=1, lower=1,
-                          trans_a=1, overwrite_b=1).T
+        lt[:rank] = dtrsm(1.0, c[:rank, :rank], block[piv[:rank] - 1].T, side=1,
+                          lower=1, trans_a=1, overwrite_b=1).T
         # keep the longest prefix whose multipliers |L_sj| / L_jj stay within
         # HINT_GROWTH; the greedy rule keeps them within 1
-        growth = np.maximum(lt[:rank].max(axis=1), -lt[:rank].min(axis=1))
+        growth = np.abs(lt[:rank]).max(axis=1)
         bad = np.flatnonzero(growth > HINT_GROWTH * np.diag(c)[:rank])
         rank = int(bad[0]) if bad.size else rank
         resid -= np.einsum("ij,ij->j", lt[:rank], lt[:rank])
@@ -344,9 +349,11 @@ def fit(support_u, support_y, support_w, ridge: float, kernel: GaussianKernel,
         rank += 1
     lt = lt[:rank]
     inner = lt @ lt.T
-    inner[np.diag_indices(rank)] += ridge
-    inner = cho_factor(inner, lower=True, check_finite=False)
-    coef = cho_solve(inner, lt @ rhs, check_finite=False)
+    inner.flat[::rank + 1] += ridge
+    c, info = dpotrf(inner, lower=1, clean=0, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    coef = dpotrs(c, lt @ rhs, lower=1)[0] if rank else np.empty(0)
     z = (rhs - lt.T @ coef) / ridge
-    return KrrModel(u, y, w, sqrt_w * z, ridge, kernel, lt, inner,
+    return KrrModel(u, y, w, sqrt_w * z, ridge, kernel, lt, (c, True),
                     y - ridge * z / sqrt_w, order[:rank].copy())

@@ -111,13 +111,13 @@ class EpsilonGreedyPolicy:
         if state.model is None or state.estimate is None or state.estimate.degenerate:
             return 0.0
         u = float(np.dot(x, state.estimate.direction))
-        return float(state.model.predict(u))
+        return state.model.predict(u)
 
     def greedy_arm(self, x) -> int:
         if self.t < self.config.T0:
             raise StateError("greedy_arm is undefined during the warm start")
         preds = [self._prediction(s, x) for s in self.arms]
-        return int(np.argmax(preds))  # argmax keeps the lowest index on ties
+        return preds.index(max(preds))  # the lowest index on ties
 
     def select(self, x):
         """Sample the arm for the next round; returns (arm, propensity, greedy, eps)."""

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from ksib.cli import main
+from ksib.cli import main, read_audit
 
 SIM_ARGS = ["simulate", "--d", "2", "--sigma", "0.05", "--reps", "3",
             "--seed", "7", "--T", "140", "--T0", "20"]
@@ -214,6 +214,41 @@ class TestInferReplay:
                      "--t", "60"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: audit log line 3: 4 cells, expected 7")
+
+    # the arm columns hold integers, so '1.5' and '1.0' are refused there;
+    # a blank line is a row of 0 cells
+    @pytest.mark.parametrize("row, message", [
+        ("2,0.1,0,1.5,0.5,0.0,0.5", "line 3: invalid literal for int() with base 10: '1.5'"),
+        ("2,0.1,1.0,1,0.5,0.0,0.5", "line 3: invalid literal for int() with base 10: '1.0'"),
+        ("\n2,0.1,0,1,0.5,0.0,0.5", "line 3: 0 cells, expected 7")])
+    def test_non_integer_arm_and_blank_line_refused(self, tmp_path, capsys,
+                                                    row, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(self.HEADER + self.GOOD_ROW + row + "\n")
+        assert main(["infer", "--log", str(bad), "--arm", "0",
+                     "--t", "60"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: audit log {message}")
+
+    def test_columnwise_parse_equals_row_by_row(self, sim_out, tmp_path):
+        """The log is parsed a column at a time by the float() and int() of
+        each cell, bit for bit as a row-by-row parse, here with quoted cells,
+        CRLF row ends, blanks, signs and underscores."""
+        with open(sim_out / "rounds_rep0.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][1:6] = [" 0.5 ", "+1", "1", "1_0", "-0.0"]
+        log = tmp_path / "log.csv"
+        log.write_text("\r\n".join(",".join(f'"{c}"' for c in row)
+                                    for row in rows), newline="")
+        got = read_audit(str(log))
+        want = [[float(v) for v in row[1:3]] for row in rows[1:]], \
+            [int(row[3]) for row in rows[1:]], [int(row[4]) for row in rows[1:]], \
+            *([float(row[j]) for row in rows[1:]] for j in (5, 6, 7))
+        for field, values in zip(("contexts", "greedy", "arm", "propensity",
+                                  "reward", "epsilon"), want):
+            a = getattr(got, field)
+            assert a.tobytes() == np.array(values, dtype=a.dtype).tobytes()
+            assert a.flags.c_contiguous and a.dtype == (int if field in (
+                "greedy", "arm") else float)
 
 
 def two_cluster_csv(path, n=900, seed=0):

@@ -62,15 +62,18 @@ class TestScenario:
             with pytest.raises(ConfigError, match=field):
                 Scenario(**{field: value}).validate()
 
-    # the last six once passed and then failed every replication (no third
+    # the middle six once passed and then failed every replication (no third
     # link; a DomainError from the index solve or the band) or, for
-    # as_kappa, inverted every AS band silently
+    # as_kappa, inverted every AS band silently; the last four ran an
+    # exploration or ridge schedule that does not decay
     @pytest.mark.parametrize("bad", [{"d": True}, {"reps": 2.0},
                                      {"inference_times": (200, "999")},
                                      {"inference_times": (200, 999.0)},
                                      {"n_arms": 3}, {"lambda_beta": -1e-3},
                                      {"as_c_const": 0.0}, {"as_c_const": -1.0},
-                                     {"as_kappa": 0.0}, {"as_kappa": -1.0}])
+                                     {"as_kappa": 0.0}, {"as_kappa": -1.0},
+                                     {"eps_coeff": 0.0}, {"eps_coeff": -0.15},
+                                     {"eps_exponent": -0.4}, {"zeta": -0.05}])
     def test_validation_rejects_bools_floats_and_bad_times(self, bad):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             Scenario(**bad).validate()

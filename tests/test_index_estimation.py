@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ksib.errors import DomainError
-from ksib.index_estimation import (IndexAccumulator, accumulate_arrays,
-                                   estimate_from_arrays)
-from ksib.numerics import Rng, min_eigenvalue
+from ksib.index_estimation import (IndexAccumulator, _solve_normal_equations,
+                                   accumulate_arrays, estimate_from_arrays)
+from ksib.numerics import Rng, min_eigenvalue, solve_spd
 
 
 class TestObserve:
@@ -150,6 +150,40 @@ class TestVectorizedEquivalence:
                                           getattr(expected, field))
         assert (got.t, got.lambda_beta, got.degenerate) == \
             (expected.t, expected.lambda_beta, expected.degenerate)
+
+
+def old_normal_equations(sum_gram, sum_moment, t, lambda_beta):
+    """The index solve as it was written with np.eye and np.linalg.norm."""
+    moment_gram = sum_gram / t
+    gram = moment_gram + lambda_beta * np.eye(sum_moment.size)
+    beta = solve_spd(gram, sum_moment / t)
+    return beta, beta / float(np.linalg.norm(beta)), gram, moment_gram
+
+
+class TestLeanSolve:
+    @pytest.mark.parametrize("source", ["accumulator", "gemm"])
+    def test_bit_identical_to_eye_and_norm(self, source):
+        rng = np.random.default_rng(8)
+        asymmetric = 0
+        for d in (1, 2, 5, 5, 6) * 4:
+            t = int(rng.integers(d + 5, 300))
+            feats, ys = rng.normal(size=(t, d)), rng.normal(size=t)
+            pulled = rng.random(t) < 0.6
+            props = rng.uniform(0.01, 1.0, size=t)
+            if source == "gemm":
+                sums = accumulate_arrays(feats, ys, pulled, props)[:3]
+            else:
+                acc = IndexAccumulator(0, d)
+                for i in range(t):
+                    acc.observe(feats[i], ys[i], props[i], bool(pulled[i]))
+                sums = acc.sum_gram, acc.sum_moment, acc.t
+            asymmetric += not np.array_equal(sums[0], sums[0].T)
+            got = _solve_normal_equations(*sums, 0.002)
+            for a, b in zip((got.beta_hat, got.direction, got.gram,
+                             got.moment_gram), old_normal_equations(*sums, 0.002)):
+                assert np.array_equal(a, b)
+        # the gemm Gram is not exactly symmetric, so solve_spd symmetrizes it
+        assert (asymmetric > 0) == (source == "gemm")
 
 
 class TestRecovery:

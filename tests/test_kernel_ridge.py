@@ -8,6 +8,7 @@ from dense_krr import DenseKrr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pairwise_median import pairwise_median_bandwidth
+from scipy.linalg import cho_factor, cho_solve
 
 from ksib.errors import DomainError
 from ksib.kernel_ridge import (PAIR_CAP, PREDICTION_TOL, GaussianKernel,
@@ -208,6 +209,8 @@ class TestFit:
     def test_rejects_zero_weights_and_empty(self):
         with pytest.raises(DomainError):
             fit([0.0], [1.0], [0.0], 0.1, GaussianKernel(1.0))
+        with pytest.raises(DomainError, match="weights must be positive"):
+            fit([0.0, 1.0], [1.0, 0.0], [np.nan, 1.0], 0.1, GaussianKernel(1.0))
         with pytest.raises(DomainError):
             fit([], [], [], 0.1, GaussianKernel(1.0))
 
@@ -246,6 +249,35 @@ class TestFitCache:
         r = np.tril(m.inner[0])
         np.testing.assert_allclose(r @ r.T, lt @ lt.T + m.ridge *
                                    np.eye(m.rank), atol=1e-12)
+
+    def test_inner_solve_bit_identical_to_cho_factor_and_cho_solve(self):
+        """The r x r solve calls dpotrf/dpotrs directly; the factor and the
+        coefficients keep the bits of cho_factor/cho_solve, at rank 0 too."""
+        rng = np.random.default_rng(12)
+        cases = [(np.full(3, 1e-30), 1.0, ())]   # rank 0: nothing to factor
+        for _ in range(25):
+            n = int(rng.integers(1, 120))
+            hint = rng.choice(n, size=int(rng.integers(0, min(n, 25) + 1)),
+                              replace=False)
+            cases.append((1.0 / rng.uniform(0.005, 1.0, size=n),
+                          float(rng.uniform(0.01, 2.0)), hint))
+        ranks = []
+        for w, ridge, hint in cases:
+            n = w.size
+            u, y = rng.normal(size=n), rng.normal(size=n)
+            m = fit(u, y, w, ridge, GaussianKernel(0.8), pivots=hint)
+            lt, rhs = m.factor, np.sqrt(w) * y
+            inner = lt @ lt.T
+            inner[np.diag_indices(m.rank)] += ridge
+            inner = cho_factor(inner, lower=True, check_finite=False)
+            coef = cho_solve(inner, lt @ rhs, check_finite=False)
+            z = (rhs - lt.T @ coef) / ridge
+            assert m.inner[1] is inner[1] is True
+            assert np.array_equal(m.inner[0], inner[0])
+            assert np.array_equal(m.dual_coeffs, np.sqrt(w) * z)
+            assert np.array_equal(m.fitted, y - ridge * z / np.sqrt(w))
+            ranks.append(m.rank)
+        assert ranks[0] == 0 and min(ranks[1:]) > 0
 
     def test_tiny_ridge_refused(self):
         # duplicate points with a negligible ridge: the Woodbury solve would
@@ -296,6 +328,20 @@ class TestSystemMatrix:
         scalar = k(0.3, -0.2)
         assert isinstance(scalar, np.float64)
         assert scalar == np.exp(-0.5 * ((0.3 - -0.2) / 0.8) ** 2)
+
+    def test_scalar_point_bit_identical_to_array_path(self):
+        """A float point skips the array conversions, not a bit of the
+        arithmetic: kernel columns and predictions equal the 0-d and 1-d
+        array paths."""
+        rng = np.random.default_rng(2)
+        u = rng.normal(size=60)
+        k = GaussianKernel(0.7)
+        m = fit(u, rng.normal(size=60), rng.uniform(1.0, 9.0, size=60), 0.3, k)
+        for v in rng.normal(size=8):
+            column = k(u, np.array([v]))[:, 0]
+            for point in (float(v), np.float64(v), np.array(v)):
+                assert np.array_equal(k(u, point), column)
+                assert m.predict(point) == m.predict(np.array(v))
 
 
 @st.composite

@@ -108,7 +108,7 @@ class TestSharedFactor:
 
         rng = np.random.default_rng(11)
         m = fitted_model(rng, n=30, lam=0.05)
-        monkeypatch.setattr(kernel_ridge, "cho_factor", no_factor)
+        monkeypatch.setattr(kernel_ridge, "dpotrf", no_factor)
         monkeypatch.setattr(scipy.linalg, "cho_factor", no_factor)
         monkeypatch.setattr(scipy.linalg, "cholesky", no_factor)
         monkeypatch.setattr(np.linalg, "cholesky", no_factor)

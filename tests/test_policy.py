@@ -309,3 +309,26 @@ class TestSupportBuffers:
                 w, 1.0 / np.maximum(np.asarray(props), policy.config.p_min))
             checked.add(len(xs))
         assert checked == boundaries
+
+
+class TestGoldenDecisions:
+    """Seeded trajectories keep their recorded greedy arms, pulled arms and
+    regret totals: any change to the policy round must leave its decisions
+    bit for bit as they were."""
+
+    @pytest.mark.parametrize("scenario, rep, arm, greedy, total", [
+        (dict(d=2, sigma=0.05), 0,
+         "076fdb2c58831c6301e68c1e4dfb80c164fcbc157238f222a4362e39c0d54dec",
+         "cbb8ad2e863a1ebb4254706b41dd525f2675ac0e4d101c70817538c64802edff",
+         "28.44107620002571"),
+        (dict(d=5, sigma=0.20), 1,
+         "86a9dcc419c81f05d8b5486d583dc70dbe915ce06a5bddc5dd8662ee57caa1be",
+         "bf1c9451e67c6234d16c2ed22643daa58d78866a5d3a3fa357c88d81fb051464",
+         "47.60811437934872")])
+    def test_recorded_trajectory(self, scenario, rep, arm, greedy, total):
+        log, _, ledger, _ = run_trajectory(
+            Scenario(T=1000, reps=1, seed=4, **scenario), rep)
+        digest = lambda a: hashlib.sha256(a.astype(np.int64).tobytes()).hexdigest()
+        assert digest(log.arm) == arm
+        assert digest(log.greedy) == greedy
+        assert repr(ledger.total) == total
