@@ -14,7 +14,7 @@ from .environment import (RegretLedger, ReplayEnv, SyntheticEnv, link_pair,
 from .harness import (Scenario, aggregate, calibrated_band_ratio, export,
                       inference_snapshot, run_replication, run_scenario)
 from .index_estimation import (IndexAccumulator, IndexEstimate,
-                               accumulate_arrays, estimate_from_arrays)
+                               estimate_from_arrays, ipw_weights)
 from .index_inference import (DirectionalReport, build_influence,
                               directional_covariance, directional_report,
                               ellipsoid_covers, sign_align, v_beta)

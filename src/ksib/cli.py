@@ -33,12 +33,13 @@ from .numerics import Rng
 REALDATA_INFERENCE_TIMES = (200, 300, 400, 500, 600, 700, 800, 900)
 
 
-def _default_threads() -> int:
-    env = os.environ.get("KSIB_THREADS", "1")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+def _threads(flag) -> int:
+    """Worker count: ``--threads`` if given, else ``KSIB_THREADS``, else 1."""
+    source, value = (("--threads", flag) if flag is not None
+                     else ("KSIB_THREADS", os.environ.get("KSIB_THREADS", "1")))
+    if str(value).isdecimal() and int(value) >= 1:
+        return int(value)
+    raise ConfigError(f"{source} must be an integer >= 1, got {value!r}")
 
 
 def _scenario_from_args(args) -> Scenario:
@@ -86,7 +87,7 @@ def cmd_simulate(args) -> int:
     if not scenario.inference_times:
         # realdata may have an empty grid; a study without one exports nothing
         raise ConfigError("inference_times must name at least one round")
-    threads = args.threads or _default_threads()
+    threads = _threads(args.threads)
     print(f"simulate: {scenario.scenario_id} reps={scenario.reps} "
           f"threads={threads}", file=sys.stderr)
     records = run_scenario(scenario, threads=threads)

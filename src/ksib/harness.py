@@ -24,7 +24,7 @@ import numpy as np
 from . import index_inference, np_inference
 from .environment import RegretLedger, SyntheticEnv, sample_canonical_betas
 from .errors import ConfigError, DegeneracyError, DomainError, KsibError
-from .index_estimation import estimate_from_arrays
+from .index_estimation import estimate_from_arrays, ipw_weights
 from .kernel_ridge import (GaussianKernel, fit, median_bandwidth,
                            ridge_schedule)
 from .numerics import Rng, min_eigenvalue, normal_quantile
@@ -233,15 +233,17 @@ class TrajectoryLog:
                 except ValueError as exc:
                     raise DomainError(f"audit log line {i + 2}: {exc}") from exc
         log = cls(np.array(cols[:dim]).reshape(dim, len(rows)).T.copy(), *cols[dim:])
-        cells = np.column_stack([log.contexts, log.propensity, log.reward,
-                                 log.epsilon])
-        bad = np.argwhere(~np.isfinite(cells))
+        # cell (i, j) is line i + 2, column j + 1; the two arm columns follow x
+        cells = np.array(cols, dtype=float).T
+        is_arm = np.isin(np.arange(dim + 5), (dim, dim + 1))
+        bad = np.argwhere(~np.isfinite(cells) | (
+            is_arm & ((cells < 0) | (cells >= Scenario.n_arms))))
         if bad.size:
             i, j = bad[0]
-            # the greedy and pulled arm columns sit between x and propensity
-            col = 1 + j if j < dim else 3 + j
-            raise DomainError(f"audit log line {i + 2}, column {header[col]}: "
-                              f"non-finite value {rows[i][col]!r}")
+            what = (f"arm outside 0..{Scenario.n_arms - 1}, got" if is_arm[j]
+                    else "non-finite value")
+            raise DomainError(f"audit log line {i + 2}, column {header[j + 1]}: "
+                              f"{what} {rows[i][j + 1]!r}")
         return log
 
 
@@ -290,7 +292,7 @@ def inference_snapshot(log: TrajectoryLog, t: int, arm: int,
                                scenario.lambda_beta, scenario.p_min)
     if est.degenerate:
         raise DegeneracyError(f"degenerate index estimate for arm {arm} at t={t}")
-    weights = 1.0 / np.maximum(log.propensity[:t][pulled], scenario.p_min)
+    weights = ipw_weights(log.propensity[:t][pulled], scenario.p_min)
     infl = index_inference.build_influence(
         feats[pulled], rewards[pulled], weights, est.beta_hat, est.gram,
         scenario.alpha, t)

@@ -2,10 +2,11 @@
 
 Each arm accumulates the weighted Gram matrix ``sum_s w_s W_s W_s^T`` and
 moment vector ``sum_s w_s W_s Y_s`` over the rounds where it was pulled,
-with ``w_s = 1/max(propensity, p_min)``.  Solving the ridge-regularized
-normal equations recovers the index up to scale; only the normalized
-direction is reported downstream (scale is not identifiable under an
-unknown link).
+with ``w_s = 1/max(propensity, p_min)`` (:func:`ipw_weights`), and divides
+both by the caller's count ``t`` of rounds, pulled or not.  Solving the
+ridge-regularized normal equations recovers the index up to scale; only the
+normalized direction is reported downstream (scale is not identifiable under
+an unknown link).
 """
 
 from __future__ import annotations
@@ -36,41 +37,36 @@ class IndexEstimate:
 
 
 class IndexAccumulator:
-    """Running sums for one arm's index estimate.
+    """Running sums for one arm's index estimate over its pulled rounds.
 
     Stores raw sums rather than averages so each update is O(d^2) with no
     renormalization drift; a single accumulator is owned by one trajectory
     and mutated sequentially.
     """
 
-    def __init__(self, arm: int, dim: int):
-        self.arm = arm
+    def __init__(self, dim: int):
         self.dim = dim
         self.sum_gram = np.zeros((dim, dim))
         self.sum_moment = np.zeros(dim)
-        self.t = 0
-        self.pulls = 0
 
-    def observe(self, w, y: float, propensity: float, pulled: bool,
-                p_min: float = DEFAULT_P_MIN) -> None:
-        """Fold in one round; non-pulled rounds only advance the clock."""
+    def observe(self, w, y: float, propensity: float,
+                p_min: float = DEFAULT_P_MIN) -> float:
+        """Fold in one pulled round; returns the IPW weight it applied."""
         if not (0.0 < propensity <= 1.0):
             raise DomainError(f"propensity must be in (0,1], got {propensity}")
         if not (0.0 < p_min <= 1.0):
             raise DomainError(f"p_min must be in (0,1], got {p_min}")
-        self.t += 1
-        if not pulled:
-            return
         w = np.asarray(w, dtype=float)
         if w.shape != (self.dim,) or not np.isfinite(w).all() or not math.isfinite(y):
             raise DomainError("nonfinite or mis-shaped observation rejected")
         weight = 1.0 / max(propensity, p_min)
         self.sum_gram += weight * (w[:, None] * w)   # weight * np.outer(w, w)
         self.sum_moment += (weight * y) * w
-        self.pulls += 1
+        return weight
 
-    def estimate_beta(self, lambda_beta: float = DEFAULT_LAMBDA_BETA) -> IndexEstimate:
-        return _solve_normal_equations(self.sum_gram, self.sum_moment, self.t,
+    def estimate_beta(self, t: int,
+                      lambda_beta: float = DEFAULT_LAMBDA_BETA) -> IndexEstimate:
+        return _solve_normal_equations(self.sum_gram, self.sum_moment, t,
                                        lambda_beta)
 
 
@@ -92,33 +88,22 @@ def _solve_normal_equations(sum_gram, sum_moment, t: int,
     return IndexEstimate(beta, beta / norm, gram, moment_gram, lambda_beta, t)
 
 
-def accumulate_arrays(features: np.ndarray, rewards: np.ndarray,
-                      pulled: np.ndarray, propensities: np.ndarray,
-                      p_min: float = DEFAULT_P_MIN):
-    """Vectorized equivalent of replaying :meth:`IndexAccumulator.observe`.
-
-    Returns ``(sum_gram, sum_moment, t, pulls)`` over the full history;
-    used by the replay/inference path where the whole log is available.
-    """
-    features = np.asarray(features, dtype=float)
-    rewards = np.asarray(rewards, dtype=float)
-    pulled = np.asarray(pulled, dtype=bool)
+def ipw_weights(propensities, p_min: float = DEFAULT_P_MIN) -> np.ndarray:
+    """Weights ``1/max(p, p_min)`` of propensities ``p``, each in (0, 1]."""
     propensities = np.asarray(propensities, dtype=float)
-    t = features.shape[0]
-    sel = pulled
-    if np.any(propensities[sel] <= 0) or np.any(propensities[sel] > 1):
+    if np.any(propensities <= 0) or np.any(propensities > 1):
         raise DomainError("propensities must be in (0,1]")
-    w = 1.0 / np.maximum(propensities[sel], p_min)
-    feats = features[sel]
-    sum_gram = (feats * w[:, None]).T @ feats
-    sum_moment = (w * rewards[sel]) @ feats
-    return sum_gram, sum_moment, t, int(sel.sum())
+    return 1.0 / np.maximum(propensities, p_min)
 
 
 def estimate_from_arrays(features, rewards, pulled, propensities,
                          lambda_beta: float = DEFAULT_LAMBDA_BETA,
                          p_min: float = DEFAULT_P_MIN) -> IndexEstimate:
-    """One-shot index estimate from a full history (replay path)."""
-    sum_gram, sum_moment, t, _ = accumulate_arrays(
-        features, rewards, pulled, propensities, p_min)
-    return _solve_normal_equations(sum_gram, sum_moment, t, lambda_beta)
+    """One-shot index estimate from a full history of ``t`` rounds (replay
+    path): :class:`IndexAccumulator`'s sums over the pulled rounds at once."""
+    pulled = np.asarray(pulled, dtype=bool)
+    feats = np.asarray(features, dtype=float)[pulled]
+    w = ipw_weights(np.asarray(propensities, dtype=float)[pulled], p_min)
+    sum_gram = (feats * w[:, None]).T @ feats
+    sum_moment = (w * np.asarray(rewards, dtype=float)[pulled]) @ feats
+    return _solve_normal_equations(sum_gram, sum_moment, pulled.size, lambda_beta)

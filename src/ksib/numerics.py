@@ -74,10 +74,8 @@ def _check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 def factor_spd(a, ridge: float = 0.0):
     """Cholesky factor of ``A + ridge*I`` for symmetric positive definite ``A``.
 
-    Returns ``(factor, jitter)``: ``factor`` is the ``(c, lower)`` pair that
-    :func:`scipy.linalg.cho_solve` takes, and ``jitter`` is the extra
-    diagonal the factored matrix carries (0.0 unless the retry fired).  One
-    automatic jitter retry (``1e-10 * trace/dim`` added once) precedes
+    Returns the ``(c, lower)`` pair :func:`scipy.linalg.cho_solve` takes.
+    One automatic jitter retry (``1e-10 * trace/dim`` added once) precedes
     :class:`SingularityError`; adaptive Gram matrices are occasionally
     near-singular early in a run and the jitter absorbs exactly those cases.
     LAPACK's ``dpotrf`` is called directly: it is the routine ``cho_factor``
@@ -89,17 +87,16 @@ def factor_spd(a, ridge: float = 0.0):
         raise DomainError("ridge must be nonnegative")
     m = a if ridge == 0.0 else a + ridge * np.eye(a.shape[0])
     c, info = dpotrf(m, lower=1, clean=0)
-    if info == 0:
-        return (c, True), 0.0
-    jitter = 1e-10 * np.trace(m) / m.shape[0]
-    if jitter <= 0:
-        jitter = 1e-12
-    m = m + jitter * np.eye(m.shape[0])
-    c, info = dpotrf(m, lower=1, clean=0)
-    if info == 0:
-        return (c, True), jitter
-    pivot = float(np.linalg.eigvalsh(m)[0])
-    raise SingularityError("matrix not positive definite after ridge and jitter", pivot)
+    if info != 0:
+        jitter = 1e-10 * np.trace(m) / m.shape[0]
+        if jitter <= 0:
+            jitter = 1e-12
+        m = m + jitter * np.eye(m.shape[0])
+        c, info = dpotrf(m, lower=1, clean=0)
+        if info != 0:
+            raise SingularityError("matrix not positive definite after ridge "
+                                   "and jitter", float(np.linalg.eigvalsh(m)[0]))
+    return c, True
 
 
 def solve_spd(a, b, ridge: float = 0.0):
@@ -108,7 +105,7 @@ def solve_spd(a, b, ridge: float = 0.0):
 
     ``b`` may be a vector or a matrix of stacked right-hand sides.
     """
-    (c, lower), _ = factor_spd(a, ridge)
+    c, lower = factor_spd(a, ridge)
     return dpotrs(c, np.asarray(b, dtype=float), lower=lower)[0]
 
 

@@ -3,9 +3,10 @@
 Round t <= T0 pulls arms round-robin (recorded propensity 1/L, the
 uniform-equivalent forced design); afterwards the estimated-best arm is
 pulled with probability 1 - eps_t and each other arm with eps_t/(L-1).
-Only the pulled arm's estimators change in a round.  Every round's record
-carries enough to rebuild each arm's propensity at every round: the greedy
-arm, the realized arm, its exact propensity, and eps_t.
+Only the pulled arm's estimators change in a round; every arm's index is
+normalized by the policy's round clock ``t``.  Every round's record carries
+enough to rebuild each arm's propensity at every round: the greedy arm, the
+realized arm, its exact propensity, and eps_t.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ class ArmState:
     """Per-arm accumulators plus decision-time regression snapshots.
 
     The arm's support is rows ``[:n]`` of ``xs`` (contexts), ``ys``
-    (rewards) and ``ws`` (IPW weights ``1/max(p, p_min)``, stored as each
-    row arrives); the buffers double when full.
+    (rewards) and ``ws`` (the IPW weights ``acc.observe`` applied, stored
+    as each row arrives); the buffers double when full.
     """
 
     acc: IndexAccumulator
@@ -69,8 +70,8 @@ class ArmState:
     bandwidth_n: int = 0
 
     @classmethod
-    def empty(cls, arm: int, dim: int) -> "ArmState":
-        return cls(IndexAccumulator(arm, dim), np.empty((SUPPORT_CAPACITY, dim)),
+    def empty(cls, dim: int) -> "ArmState":
+        return cls(IndexAccumulator(dim), np.empty((SUPPORT_CAPACITY, dim)),
                    np.empty(SUPPORT_CAPACITY), np.empty(SUPPORT_CAPACITY))
 
     def append(self, x, y: float, w: float) -> None:
@@ -103,7 +104,7 @@ class EpsilonGreedyPolicy:
         self.score = score_model
         self.rng = rng
         self.t = 0
-        self.arms = [ArmState.empty(i, scenario.d) for i in range(scenario.n_arms)]
+        self.arms = [ArmState.empty(scenario.d) for _ in range(scenario.n_arms)]
 
     # -- decision helpers ---------------------------------------------------
 
@@ -169,12 +170,10 @@ class EpsilonGreedyPolicy:
         else:
             w_feat = self.score.score(x)
         self.t += 1
-        for i, state in enumerate(self.arms):
-            state.acc.observe(w_feat, y, prop, pulled=(i == arm),
-                              p_min=self.config.p_min)
         pulled = self.arms[arm]
-        pulled.append(x, y, 1.0 / max(prop, self.config.p_min))
-        pulled.estimate = pulled.acc.estimate_beta(self.config.lambda_beta)
+        weight = pulled.acc.observe(w_feat, y, prop, self.config.p_min)
+        pulled.append(x, y, weight)
+        pulled.estimate = pulled.acc.estimate_beta(self.t, self.config.lambda_beta)
         n = pulled.n
         if n <= REFIT_EVERY_ROUND_BELOW or n % REFIT_INTERVAL == 0:
             self._refit_krr(pulled)
@@ -183,7 +182,7 @@ class EpsilonGreedyPolicy:
     def force_refit(self) -> None:
         """Refresh every arm's snapshots (used at inference times)."""
         for state in self.arms:
-            if state.acc.pulls:
-                state.estimate = state.acc.estimate_beta(self.config.lambda_beta)
+            if state.n:
+                state.estimate = state.acc.estimate_beta(self.t, self.config.lambda_beta)
                 state.bandwidth = None
                 self._refit_krr(state)

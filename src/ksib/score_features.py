@@ -25,7 +25,7 @@ class KnownGaussianScore:
             raise DomainError("covariance shape does not match mean")
         self.covariance = cov
         # factored once; fails fast on a non-PD covariance
-        self._factor, _ = factor_spd(cov)
+        self._factor = factor_spd(cov)
 
     @property
     def dim(self) -> int:
@@ -49,18 +49,14 @@ class EmpiricalWhiteningScore:
     Mean and covariance are maintained with Welford updates, so a long
     stream never loses precision to catastrophic cancellation;
     :meth:`from_batch` builds the same state from a whole history at once.
-    ``ridge`` defaults to ``1e-8 * trace(Cov)/dim`` at score time, which
-    keeps the solve well-posed when the dimension approaches the early
-    sample count.
+    ``ridge`` is ``1e-8 * trace(Cov)/dim`` at score time, which keeps the
+    solve well-posed when the dimension approaches the early sample count.
     """
 
-    def __init__(self, dim: int, ridge: float | None = None):
+    def __init__(self, dim: int):
         if dim < 1:
             raise DomainError("dim must be positive")
-        if ridge is not None and ridge < 0:
-            raise DomainError("ridge must be nonnegative")
         self.dim = dim
-        self.ridge = ridge
         self.count = 0
         self.mean = np.zeros(dim)
         self._m2 = np.zeros((dim, dim))
@@ -96,19 +92,10 @@ class EmpiricalWhiteningScore:
 
     def score(self, x):
         cov = self.covariance
-        ridge = self.ridge
-        if ridge is None:
-            ridge = 1e-8 * float(np.trace(cov)) / self.dim
+        ridge = 1e-8 * float(np.trace(cov)) / self.dim
         if ridge == 0.0 and min_eigenvalue(cov) <= 0.0:
-            raise SingularityError(
-                "whitening covariance singular; supply a positive ridge",
-                min_eigenvalue(cov))
+            raise SingularityError("whitening covariance singular: the "
+                                   "contexts do not vary", min_eigenvalue(cov))
         x = np.asarray(x, dtype=float)
         centered = x - self.mean
-        try:
-            return solve_spd(cov, centered.T, ridge=ridge).T
-        except SingularityError as exc:
-            raise SingularityError(
-                "whitening covariance singular; supply a positive ridge",
-                exc.smallest_pivot,
-            ) from exc
+        return solve_spd(cov, centered.T, ridge=ridge).T

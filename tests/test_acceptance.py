@@ -189,13 +189,13 @@ class TestCriterion6:
         ys = xs @ beta + 0.1 * noise
         weighted = (pulls / p)[:, :, None] * xs * ys[:, :, None]
         moments = weighted.mean(axis=1)
-        # bridge check: the vectorized moment equals the accumulator's
+        # bridge check: the vectorized moment equals the accumulator's, which
+        # folds in the pulled rounds only and is divided by all t rounds
         for rep in range(3):
-            acc = IndexAccumulator(0, 2)
-            for s in range(t):
-                acc.observe(xs[rep, s], ys[rep, s], p,
-                            pulled=bool(pulls[rep, s]))
-            np.testing.assert_allclose(acc.sum_moment / acc.t, moments[rep],
+            acc = IndexAccumulator(2)
+            for s in np.flatnonzero(pulls[rep]):
+                acc.observe(xs[rep, s], ys[rep, s], p)
+            np.testing.assert_allclose(acc.sum_moment / t, moments[rep],
                                        rtol=1e-10)
         se = moments.std(axis=0, ddof=1) / np.sqrt(reps)
         gap = np.abs(moments.mean(axis=0) - beta)

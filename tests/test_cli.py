@@ -69,6 +69,26 @@ class TestSimulate:
         assert code != 0
         assert "sigmma" in capsys.readouterr().err
 
+    # a thread count below 1 or not an integer is refused, naming the flag
+    # or the environment variable it came from, before any replication runs
+    @pytest.mark.parametrize("flags, env, message", [
+        (["--threads", "-3"], None, "--threads must be an integer >= 1, got -3"),
+        (["--threads", "0"], None, "--threads must be an integer >= 1, got 0"),
+        ([], "abc", "KSIB_THREADS must be an integer >= 1, got 'abc'"),
+        ([], "0", "KSIB_THREADS must be an integer >= 1, got '0'"),
+    ])
+    def test_bad_thread_count_rejected(self, tmp_path, capsys, monkeypatch,
+                                       flags, env, message):
+        if env is None:
+            monkeypatch.delenv("KSIB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("KSIB_THREADS", env)
+        out = tmp_path / "x"
+        assert main(SIM_ARGS + flags + ["--config", patch_times(tmp_path / "c.json"),
+                                        "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("config,field", [
         ({"d": "2"}, "d"), ({"gamma": "x"}, "gamma"),
         ({"inference_times": 5}, "inference_times")])
@@ -229,13 +249,50 @@ class TestInferReplay:
                      "--t", "60"]) == 1
         assert capsys.readouterr().err.startswith(f"error: audit log {message}")
 
+    # an arm outside 0..1 would replay as a round in which neither arm was
+    # pulled (or greedy) and shift the estimate without any error
+    @pytest.mark.parametrize("row, column, cell", [
+        ("2,0.1,2,1,0.5,0.0,0.5", "greedy_arm", "2"),
+        ("2,0.1,0,7,0.5,0.0,0.5", "pulled_arm", "7"),
+        ("2,0.1,0,-1,0.5,0.0,0.5", "pulled_arm", "-1"),
+    ])
+    def test_out_of_range_arm_names_line_and_column(self, tmp_path, capsys,
+                                                    row, column, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(self.HEADER + self.GOOD_ROW + row + "\n")
+        assert main(["infer", "--log", str(bad), "--arm", "0",
+                     "--t", "60"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: audit log line 3, column {column}: "
+                              f"arm outside 0..1, got '{cell}'")
+
+    def test_relabelled_pulls_refused(self, sim_out, tmp_path, capsys):
+        """A study log with some of arm 1's pulls relabelled as arm 7 is
+        refused at the first relabelled line."""
+        with open(sim_out / "rounds_rep0.csv", newline="",
+                  encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index("pulled_arm")
+        lines = [i for i, r in enumerate(rows) if i and r[col] == "1"][5:15]
+        for i in lines:
+            rows[i][col] = "7"
+        bad = tmp_path / "relabelled.csv"
+        with open(bad, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        assert main(["infer", "--log", str(bad), "--arm", "1",
+                     "--t", "100", "--T0", "20"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: audit log line {lines[0] + 1}, "
+                              "column pulled_arm: arm outside 0..1, got '7'")
+
     def test_columnwise_parse_equals_row_by_row(self, sim_out, tmp_path):
         """The log is parsed a column at a time by the float() and int() of
         each cell, bit for bit as a row-by-row parse, here with quoted cells,
         CRLF row ends, blanks, signs and underscores."""
         with open(sim_out / "rounds_rep0.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-        rows[1][1:6] = [" 0.5 ", "+1", "1", "1_0", "-0.0"]
+        # '0_1' is arm 1: an arm outside 0..1 is refused
+        rows[1][1:6] = [" 0.5 ", "+1", "1", "0_1", "-0.0"]
         log = tmp_path / "log.csv"
         log.write_text("\r\n".join(",".join(f'"{c}"' for c in row)
                                     for row in rows), newline="")

@@ -3,58 +3,85 @@
 import numpy as np
 import pytest
 
+from ksib import harness
 from ksib.errors import DomainError
+from ksib.harness import Scenario, run_trajectory
 from ksib.index_estimation import (IndexAccumulator, _solve_normal_equations,
-                                   accumulate_arrays, estimate_from_arrays)
+                                   estimate_from_arrays, ipw_weights)
 from ksib.numerics import Rng, min_eigenvalue, solve_spd
+from ksib.policy import EpsilonGreedyPolicy
+
+
+def observe_pulled(acc, feats, ys, pulled, props, p_min=1e-3):
+    """Feed the pulled rounds to ``acc`` as the policy does; returns the
+    weights ``observe`` applied."""
+    return np.array([acc.observe(feats[i], ys[i], props[i], p_min)
+                     for i in np.flatnonzero(pulled)])
+
+
+def gemm_sums(feats, ys, pulled, props, p_min=1e-3):
+    """The pulled rounds' weighted sums as one matrix product, written out
+    as :func:`estimate_from_arrays` forms them."""
+    w = ipw_weights(props[pulled], p_min)
+    f = feats[pulled]
+    return (f * w[:, None]).T @ f, (w * ys[pulled]) @ f
 
 
 class TestObserve:
-    def test_not_pulled_only_advances_clock(self):
-        acc = IndexAccumulator(0, 2)
-        acc.observe(np.array([1.0, 1.0]), 5.0, 0.5, pulled=False)
-        assert acc.t == 1 and acc.pulls == 0
-        assert not acc.sum_gram.any() and not acc.sum_moment.any()
-
     def test_weighted_update_by_hand(self):
-        acc = IndexAccumulator(0, 2)
-        acc.observe(np.array([1.0, 0.0]), 2.0, 0.5, pulled=True)
+        acc = IndexAccumulator(2)
+        assert acc.observe(np.array([1.0, 0.0]), 2.0, 0.5) == 2.0
         np.testing.assert_allclose(acc.sum_gram, [[2.0, 0.0], [0.0, 0.0]])
         np.testing.assert_allclose(acc.sum_moment, [4.0, 0.0])
 
     def test_clip_floor(self):
-        acc = IndexAccumulator(0, 1)
-        acc.observe(np.array([1.0]), 1.0, 0.001, pulled=True, p_min=0.01)
+        acc = IndexAccumulator(1)
+        assert acc.observe(np.array([1.0]), 1.0, 0.001, p_min=0.01) == 100.0
         assert acc.sum_gram[0, 0] == pytest.approx(100.0)
+        np.testing.assert_array_equal(ipw_weights([0.001, 0.5], 0.01),
+                                      [100.0, 2.0])
 
     def test_rejects_nonfinite(self):
-        acc = IndexAccumulator(0, 2)
+        acc = IndexAccumulator(2)
         with pytest.raises(DomainError):
-            acc.observe(np.array([np.nan, 0.0]), 1.0, 0.5, pulled=True)
+            acc.observe(np.array([np.nan, 0.0]), 1.0, 0.5)
         with pytest.raises(DomainError):
-            acc.observe(np.array([1.0, 0.0]), np.inf, 0.5, pulled=True)
+            acc.observe(np.array([1.0, 0.0]), np.inf, 0.5)
+        assert not acc.sum_gram.any() and not acc.sum_moment.any()
 
     def test_rejects_bad_propensity(self):
-        acc = IndexAccumulator(0, 1)
+        """Live and replay paths alike refuse a propensity outside (0, 1]."""
+        acc = IndexAccumulator(1)
+        for p in (0.0, -0.1, 1.5):
+            with pytest.raises(DomainError):
+                acc.observe(np.array([1.0]), 1.0, p)
+            with pytest.raises(DomainError):
+                ipw_weights(np.array([0.5, p]))
+            with pytest.raises(DomainError):
+                estimate_from_arrays(np.ones((2, 1)), np.ones(2),
+                                     np.ones(2, bool), np.array([0.5, p]))
+
+    def test_rejects_bad_p_min(self):
         with pytest.raises(DomainError):
-            acc.observe(np.array([1.0]), 1.0, 0.0, pulled=True)
+            IndexAccumulator(1).observe(np.array([1.0]), 1.0, 0.5, p_min=0.0)
 
     def test_weight_at_least_one_when_pulled(self):
         rng = Rng(0)
-        acc = IndexAccumulator(0, 1)
+        acc = IndexAccumulator(1)
         for _ in range(50):
             p = 0.05 + 0.95 * rng.uniform()
             before = acc.sum_gram[0, 0]
-            acc.observe(np.array([1.0]), 0.0, p, pulled=True)
+            assert acc.observe(np.array([1.0]), 0.0, p) >= 1.0
             assert acc.sum_gram[0, 0] - before >= 1.0 - 1e-12
+        assert (ipw_weights(np.linspace(0.01, 1.0, 50)) >= 1.0).all()
 
 
 class TestEstimateBeta:
     def test_exact_linear_fit_1d(self):
-        acc = IndexAccumulator(0, 1)
-        acc.observe(np.array([1.0]), 1.0, 1.0, pulled=True)
-        acc.observe(np.array([-1.0]), -1.0, 1.0, pulled=True)
-        est = acc.estimate_beta(lambda_beta=0.0)
+        acc = IndexAccumulator(1)
+        acc.observe(np.array([1.0]), 1.0, 1.0)
+        acc.observe(np.array([-1.0]), -1.0, 1.0)
+        est = acc.estimate_beta(2, lambda_beta=0.0)
         assert est.beta_hat[0] == pytest.approx(1.0)
         assert est.direction[0] == pytest.approx(1.0)
 
@@ -70,11 +97,11 @@ class TestEstimateBeta:
         np.testing.assert_allclose(base.beta_hat, scaled.beta_hat, rtol=1e-9)
 
     def test_hand_solved_normal_equations(self):
-        acc = IndexAccumulator(0, 2)
+        acc = IndexAccumulator(2)
         rows = [((1.0, 0.0), 2.0), ((0.0, 1.0), 3.0), ((1.0, 1.0), 5.0)]
         for w, y in rows:
-            acc.observe(np.array(w), y, 1.0, pulled=True)
-        est = acc.estimate_beta(lambda_beta=0.0)
+            acc.observe(np.array(w), y, 1.0)
+        est = acc.estimate_beta(3, lambda_beta=0.0)
         np.testing.assert_allclose(est.beta_hat, [2.0, 3.0], atol=1e-10)
 
     def test_unit_direction(self):
@@ -88,34 +115,34 @@ class TestEstimateBeta:
             est.direction, est.beta_hat / np.linalg.norm(est.beta_hat))
 
     def test_degenerate_zero_moment(self):
-        acc = IndexAccumulator(0, 2)
-        acc.observe(np.array([1.0, 0.0]), 0.0, 1.0, pulled=True)
-        est = acc.estimate_beta()
+        acc = IndexAccumulator(2)
+        acc.observe(np.array([1.0, 0.0]), 0.0, 1.0)
+        est = acc.estimate_beta(1)
         assert est.degenerate
         np.testing.assert_array_equal(est.direction, np.zeros(2))
 
 
 class TestGramDiagnostic:
     def test_identity_scaled(self):
-        acc = IndexAccumulator(0, 2)
-        acc.sum_gram = 4 * np.eye(2)
-        acc.t = 4
-        assert min_eigenvalue(acc.sum_gram / acc.t) == pytest.approx(1.0)
+        acc = IndexAccumulator(2)
+        for w in np.eye(2).repeat(2, axis=0):   # four rounds, all at p = 1/2
+            acc.observe(w, 0.0, 0.5)
+        assert min_eigenvalue(acc.sum_gram / 4) == pytest.approx(1.0)
 
     def test_rank_one_is_zero(self):
-        acc = IndexAccumulator(0, 2)
-        acc.observe(np.array([1.0, 1.0]), 1.0, 1.0, pulled=True)
-        assert min_eigenvalue(acc.sum_gram / acc.t) == pytest.approx(0.0, abs=1e-12)
+        acc = IndexAccumulator(2)
+        acc.observe(np.array([1.0, 1.0]), 1.0, 1.0)
+        assert min_eigenvalue(acc.sum_gram / 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_policy_concentrates(self):
         rng = Rng(42)
-        acc = IndexAccumulator(0, 3)
+        acc = IndexAccumulator(3)
         t = 2000
         xs = rng.normal((t, 3))
         for i in range(t):
-            pulled = rng.uniform() < 0.5
-            acc.observe(xs[i], 0.0, 0.5, pulled=pulled)
-        assert 0.8 <= min_eigenvalue(acc.sum_gram / acc.t) <= 1.2
+            if rng.uniform() < 0.5:
+                acc.observe(xs[i], 0.0, 0.5)
+        assert 0.8 <= min_eigenvalue(acc.sum_gram / t) <= 1.2
 
 
 class TestVectorizedEquivalence:
@@ -126,13 +153,15 @@ class TestVectorizedEquivalence:
         ys = rng.normal(size=t)
         pulled = rng.random(t) < 0.4
         props = rng.uniform(0.05, 1.0, size=t)
-        acc = IndexAccumulator(0, 3)
-        for i in range(t):
-            acc.observe(feats[i], ys[i], props[i], pulled=bool(pulled[i]))
-        gram, moment, tt, pulls = accumulate_arrays(feats, ys, pulled, props)
+        acc = IndexAccumulator(3)
+        weights = observe_pulled(acc, feats, ys, pulled, props)
+        assert np.array_equal(weights, ipw_weights(props[pulled]))
+        gram, moment = gemm_sums(feats, ys, pulled, props)
         np.testing.assert_allclose(gram, acc.sum_gram, rtol=1e-12)
         np.testing.assert_allclose(moment, acc.sum_moment, rtol=1e-12)
-        assert (tt, pulls) == (acc.t, acc.pulls)
+        est = estimate_from_arrays(feats, ys, pulled, props, 0.0)
+        np.testing.assert_allclose(est.moment_gram, acc.sum_gram / t, rtol=1e-12)
+        assert est.t == t
 
     def test_estimate_from_arrays_matches_accumulator_solve(self):
         rng = np.random.default_rng(6)
@@ -140,16 +169,44 @@ class TestVectorizedEquivalence:
         ys = rng.normal(size=80)
         pulled = rng.random(80) < 0.5
         props = rng.uniform(0.05, 1.0, size=80)
-        acc = IndexAccumulator(0, 3)
-        acc.sum_gram, acc.sum_moment, acc.t, acc.pulls = accumulate_arrays(
-            feats, ys, pulled, props)
-        expected = acc.estimate_beta(0.01)
+        acc = IndexAccumulator(3)
+        acc.sum_gram, acc.sum_moment = gemm_sums(feats, ys, pulled, props)
+        expected = acc.estimate_beta(80, 0.01)
         got = estimate_from_arrays(feats, ys, pulled, props, 0.01)
-        for field in ("beta_hat", "direction", "gram"):
+        for field in ("beta_hat", "direction", "gram", "moment_gram"):
             np.testing.assert_array_equal(getattr(got, field),
                                           getattr(expected, field))
         assert (got.t, got.lambda_beta, got.degenerate) == \
             (expected.t, expected.lambda_beta, expected.degenerate)
+
+
+class TestLiveReplayBridge:
+    def test_policy_sums_match_replay_on_easy_trajectory(self, monkeypatch):
+        """On an easy T=1000 trajectory (known standard score, so the feature
+        is the context itself) each arm's stored weights are the replay
+        weights bit for bit, and its live Gram over ``t`` is the replay's."""
+        policies = []
+
+        class Recording(EpsilonGreedyPolicy):
+            def __init__(self, *args):
+                super().__init__(*args)
+                policies.append(self)
+
+        monkeypatch.setattr(harness, "EpsilonGreedyPolicy", Recording)
+        sc = Scenario(T=1000, reps=1)
+        log, _, _, _ = run_trajectory(sc, 0)
+        policy, = policies
+        assert policy.t == log.rounds == 1000
+        for a, state in enumerate(policy.arms):
+            pulled = log.arm == a
+            assert state.n == pulled.sum() > 0
+            assert np.array_equal(state.ws[:state.n],
+                                  ipw_weights(log.propensity[pulled], sc.p_min))
+            est = estimate_from_arrays(log.contexts, log.reward, pulled,
+                                       log.propensity, sc.lambda_beta, sc.p_min)
+            live = state.acc.sum_gram / policy.t
+            assert np.abs(live - est.moment_gram).max() <= \
+                1e-12 * np.abs(est.moment_gram).max()
 
 
 def old_normal_equations(sum_gram, sum_moment, t, lambda_beta):
@@ -171,12 +228,11 @@ class TestLeanSolve:
             pulled = rng.random(t) < 0.6
             props = rng.uniform(0.01, 1.0, size=t)
             if source == "gemm":
-                sums = accumulate_arrays(feats, ys, pulled, props)[:3]
+                sums = (*gemm_sums(feats, ys, pulled, props), t)
             else:
-                acc = IndexAccumulator(0, d)
-                for i in range(t):
-                    acc.observe(feats[i], ys[i], props[i], bool(pulled[i]))
-                sums = acc.sum_gram, acc.sum_moment, acc.t
+                acc = IndexAccumulator(d)
+                observe_pulled(acc, feats, ys, pulled, props)
+                sums = acc.sum_gram, acc.sum_moment, t
             asymmetric += not np.array_equal(sums[0], sums[0].T)
             got = _solve_normal_equations(*sums, 0.002)
             for a, b in zip((got.beta_hat, got.direction, got.gram,
@@ -200,9 +256,8 @@ class TestRecovery:
             ys = xs @ beta + 0.1 * r.normal(t)
             pulled = r.normal(t) < np.float64(
                 -0.5244005127080407)  # P(Z < z) = 0.3
-            _, moment, tt, _ = accumulate_arrays(xs, ys, pulled,
-                                                 np.full(t, p))
-            moments[rep] = moment / tt
+            _, moment = gemm_sums(xs, ys, pulled, np.full(t, p))
+            moments[rep] = moment / t
         se = moments.std(axis=0, ddof=1) / np.sqrt(reps)
         np.testing.assert_array_less(np.abs(moments.mean(axis=0) - beta),
                                      3 * se + 1e-12)

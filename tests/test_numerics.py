@@ -197,17 +197,20 @@ class TestFactorSpd:
         g = rng.normal(size=(6, 6))
         a = g @ g.T
         b = rng.normal(size=6)
-        factor, jitter = factor_spd(a, ridge=0.3)
-        assert jitter == 0.0
+        factor = factor_spd(a, ridge=0.3)
+        l = np.tril(factor[0])
+        np.testing.assert_allclose(l @ l.T, a + 0.3 * np.eye(6), rtol=1e-13)
         np.testing.assert_array_equal(
             cho_solve(factor, b, check_finite=False), solve_spd(a, b, ridge=0.3))
 
     def test_reports_jitter_retry(self):
-        factor, jitter = factor_spd(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        assert jitter == pytest.approx(1e-10)
-        l = np.tril(factor[0])
-        np.testing.assert_allclose(l @ l.T, [[1.0 + jitter, 1.0],
-                                             [1.0, 1.0 + jitter]], atol=1e-15)
+        """A singular matrix is factored with the retry's jitter on its
+        diagonal: ``1e-10 * trace/dim``, here 1e-10."""
+        c, lower = factor_spd(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        assert lower
+        l = np.tril(c)
+        np.testing.assert_allclose(l @ l.T, [[1.0 + 1e-10, 1.0],
+                                             [1.0, 1.0 + 1e-10]], rtol=0, atol=1e-15)
 
 
 class TestMinEigenvalue:

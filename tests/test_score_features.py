@@ -87,12 +87,8 @@ class TestEmpiricalWhitening:
         model = EmpiricalWhiteningScore(2)
         for _ in range(5):
             model.update(np.array([1.0, 1.0]))
-        with pytest.raises(SingularityError):
+        with pytest.raises(SingularityError, match="contexts do not vary"):
             model.score(np.array([1.0, 1.0]))
-        ridged = EmpiricalWhiteningScore(2, ridge=1e-2)
-        for _ in range(5):
-            ridged.update(np.array([1.0, 1.0]))
-        assert np.isfinite(ridged.score(np.array([2.0, 0.0]))).all()
 
     def test_streaming_matches_batch(self):
         rng = np.random.default_rng(3)
