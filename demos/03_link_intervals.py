@@ -16,7 +16,8 @@ scenario = Scenario(d=2, sigma=0.05, seed=3)
 log, means, ledger, env = run_trajectory(scenario, rep=1)
 arm, t = 0, 999
 snap = inference_snapshot(log, t, arm, scenario)
-model, cov = snap.model, snap.covariance
+cov = snap.covariance
+model = cov.model
 
 print(f"arm {arm} at t={t}: support size {model.n_support}, "
       f"bandwidth {model.kernel.bandwidth:.3f}, "
@@ -25,8 +26,7 @@ print(f"\n{'u':>6} {'truth':>7} {'fit':>7} "
       f"{'CLT interval':>19} {'band interval':>19}")
 for u in np.linspace(-2.0, 2.0, 9):
     truth = env.links[arm](u)
-    clt = pointwise_ci(model, cov, float(u), alpha=0.05,
-                       t=model.n_support, gamma=scenario.gamma)
+    clt = pointwise_ci(cov, float(u), alpha=0.05)
     band = as_band_ci(model, float(u), eta=0.05, r_tilde=snap.r_tilde,
                       c_const=0.05, theta=scenario.as_theta)
     print(f"{u:6.2f} {truth:7.3f} {clt.center:7.3f} "

@@ -26,7 +26,7 @@ from .environment import ReplayEnv, load_csv
 from .errors import ConfigError, KsibError
 from .harness import (MARGINAL_COLUMNS, Scenario, TrajectoryLog, aggregate,
                       export, inference_snapshot, np_cis_at, run_policy,
-                      run_scenario, run_trajectory, write_csv)
+                      run_scenario, run_trajectory, write_csv, write_json)
 from .index_inference import marginal_rows
 from .numerics import Rng
 
@@ -42,10 +42,11 @@ def _threads(flag) -> int:
     raise ConfigError(f"{source} must be an integer >= 1, got {value!r}")
 
 
-def _scenario_from_args(args) -> Scenario:
+def _scenario_from_args(args, **fixed) -> Scenario:
+    """Validated ``Scenario``: --config, then flags, then the command's ``fixed``."""
     fields = {f.name for f in dataclasses.fields(Scenario)}
     values = {}
-    if args.config:
+    if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
@@ -55,10 +56,11 @@ def _scenario_from_args(args) -> Scenario:
             raise ConfigError(f"unknown config keys: {unknown}")
         values.update(raw)
     for name in ("d", "sigma", "reps", "seed", "T", "T0", "zeta", "gamma",
-                 "alpha", "lambda_beta", "level"):
+                 "alpha", "lambda_beta", "level", "score"):
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
+    values.update(fixed)
     if isinstance(values.get("inference_times"), list):
         values["inference_times"] = tuple(values["inference_times"])
     scenario = Scenario(**values)
@@ -88,6 +90,8 @@ def cmd_simulate(args) -> int:
         # realdata may have an empty grid; a study without one exports nothing
         raise ConfigError("inference_times must name at least one round")
     threads = _threads(args.threads)
+    if args.audit_reps < 0:
+        raise ConfigError(f"--audit-reps must be >= 0, got {args.audit_reps}")
     print(f"simulate: {scenario.scenario_id} reps={scenario.reps} "
           f"threads={threads}", file=sys.stderr)
     records = run_scenario(scenario, threads=threads)
@@ -109,10 +113,9 @@ def cmd_realdata(args) -> int:
     table = load_csv(args.csv, args.label_col,
                      args.feature_cols.split(",") if args.feature_cols else None)
     times = tuple(t for t in REALDATA_INFERENCE_TIMES if args.T0 < t <= args.T)
-    scenario = Scenario(d=table.features.shape[1], sigma=0.0, T=args.T,
-                        T0=args.T0, reps=args.perms, seed=args.seed,
-                        inference_times=times, score="empirical")
-    scenario.validate()
+    scenario = _scenario_from_args(args, d=table.features.shape[1], sigma=0.0,
+                                   reps=args.perms, inference_times=times,
+                                   score="empirical")
     os.makedirs(args.out, exist_ok=True)
     master = Rng(args.seed)
     summary_rows = []
@@ -137,12 +140,8 @@ def cmd_realdata(args) -> int:
                 except KsibError:
                     continue
                 marg_rows.extend(marginal_rows(perm, a, t, snap.report))
-    with open(os.path.join(args.out, "realdata_summary.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump({"rows": summary_rows,
-                   "config": dataclasses.asdict(scenario)}, fh,
-                  sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "realdata_summary.json"),
+               {"rows": summary_rows, "config": dataclasses.asdict(scenario)})
     write_csv(os.path.join(args.out, "realdata_marginals.csv"),
               MARGINAL_COLUMNS, marg_rows)
     mean_acc = float(np.mean([r["accuracy"] for r in summary_rows]))
@@ -153,12 +152,8 @@ def cmd_realdata(args) -> int:
 
 def cmd_infer(args) -> int:
     log = read_audit(args.log)
-    overrides = {}
-    if args.score:
-        overrides["score"] = args.score
-    scenario = Scenario(d=log.dim, T=max(log.rounds, args.t + 1),
-                        T0=args.T0, inference_times=(args.t,), **overrides)
-    scenario.validate()
+    scenario = _scenario_from_args(args, d=log.dim, inference_times=(args.t,),
+                                   T=max(log.rounds, args.t + 1))
     if args.context:
         try:
             x = np.array([float(v) for v in args.context.split(",")])

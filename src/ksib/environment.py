@@ -192,8 +192,8 @@ def load_csv(path, label_column, feature_columns=None,
                 labels.append(int(float(raw)))
             except ValueError as exc:
                 raise LoadError(
-                    f"{path}:{lineno}: label {raw!r} is not numeric; "
-                    "pass a label map") from exc
+                    f"{path}:{lineno}: label {raw!r} is not numeric; the label column "
+                    "must hold 0/1 labels, or load_csv callers pass label_map") from exc
     labels_arr = np.asarray(labels)
     uniq = set(labels_arr.tolist())
     if not uniq <= {0, 1} or len(uniq) < 2:

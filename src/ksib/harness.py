@@ -233,15 +233,20 @@ class TrajectoryLog:
                 except ValueError as exc:
                     raise DomainError(f"audit log line {i + 2}: {exc}") from exc
         log = cls(np.array(cols[:dim]).reshape(dim, len(rows)).T.copy(), *cols[dim:])
-        # cell (i, j) is line i + 2, column j + 1; the two arm columns follow x
+        # cell (i, j) is line i + 2, column j + 1; after x come the two arms,
+        # propensity, reward and epsilon; a finite bad cell is out of range
         cells = np.array(cols, dtype=float).T
-        is_arm = np.isin(np.arange(dim + 5), (dim, dim + 1))
-        bad = np.argwhere(~np.isfinite(cells) | (
-            is_arm & ((cells < 0) | (cells >= Scenario.n_arms))))
-        if bad.size:
-            i, j = bad[0]
-            what = (f"arm outside 0..{Scenario.n_arms - 1}, got" if is_arm[j]
-                    else "non-finite value")
+        arms, p, eps = cells[:, dim:dim + 2], cells[:, dim + 2], cells[:, dim + 4]
+        bad = ~np.isfinite(cells)
+        bad[:, dim:dim + 2] |= (arms < 0) | (arms >= Scenario.n_arms)
+        bad[:, dim + 2] |= (p <= 0) | (p > 1)
+        bad[:, dim + 4] |= (eps <= 0) | (eps >= 1)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            what = "non-finite value" if not np.isfinite(cells[i, j]) else {
+                dim + 2: "propensity outside (0, 1], got",
+                dim + 4: "epsilon outside (0, 1), got"}.get(
+                    j, f"arm outside 0..{Scenario.n_arms - 1}, got")
             raise DomainError(f"audit log line {i + 2}, column {header[j + 1]}: "
                               f"{what} {rows[i][j + 1]!r}")
         return log
@@ -259,12 +264,10 @@ class ArmSnapshot:
     """
 
     arm: int
-    t: int
     estimate: object
     direction: np.ndarray
     report: index_inference.DirectionalReport
-    model: object
-    covariance: np_inference.NpCovariance
+    covariance: np_inference.NpCovariance  # with its link fit, ``.model``
     r_tilde: float
 
 
@@ -309,19 +312,17 @@ def inference_snapshot(log: TrajectoryLog, t: int, arm: int,
                                         residual_mode=scenario.np_residual_mode)
     r_tilde = np_inference.exploration_coefficient(
         log.arm_propensities(arm, t, scenario.T0, scenario.n_arms))
-    return ArmSnapshot(arm, t, est, direction, report, model, cov, r_tilde)
+    return ArmSnapshot(arm, est, direction, report, cov, r_tilde)
 
 
 def np_cis_at(snapshot: ArmSnapshot, x_next: np.ndarray, scenario: Scenario):
     """Both pointwise intervals at the next context's estimated projection."""
     u = float(np.asarray(x_next, dtype=float) @ snapshot.direction)
     eta = 1.0 - scenario.level
-    clt = np_inference.pointwise_ci(snapshot.model, snapshot.covariance, u,
-                                    eta, snapshot.model.n_support,
-                                    scenario.gamma)
-    band = np_inference.as_band_ci(snapshot.model, u, eta, snapshot.r_tilde,
-                                   scenario.as_kappa, scenario.as_c_const,
-                                   scenario.as_theta)
+    clt = np_inference.pointwise_ci(snapshot.covariance, u, eta)
+    band = np_inference.as_band_ci(snapshot.covariance.model, u, eta,
+                                   snapshot.r_tilde, scenario.as_kappa,
+                                   scenario.as_c_const, scenario.as_theta)
     return clt, band
 
 
@@ -337,7 +338,6 @@ class RunRecord:
     marginal_rows: list = field(default_factory=list)
     pointwise_rows: list = field(default_factory=list)
     regret_rows: list = field(default_factory=list)
-    final_regret: float = 0.0
     clamped: int = 0
     gram_diag: dict = field(default_factory=dict)
 
@@ -411,7 +411,7 @@ def run_replication(scenario: Scenario, rep: int) -> RunRecord:
                     u_eval = float(x_next @ snap.direction)
                     truth_val = float(env.links[snap.arm](u_eval))
                     for ci in np_cis_at(snap, x_next, scenario):
-                        record.clamped += int(getattr(ci, "clamped", False))
+                        record.clamped += int(ci.clamped)
                         record.pointwise_rows.append({
                             "rep": rep, "arm": snap.arm, "t": t,
                             "method": ci.method, "u": ci.u,
@@ -420,7 +420,6 @@ def run_replication(scenario: Scenario, rep: int) -> RunRecord:
                             "covered": int(ci.lo <= truth_val <= ci.hi),
                             "length": ci.hi - ci.lo})
             record.regret_rows.append({"t": t, "avg_regret": ledger.average(t)})
-        record.final_regret = ledger.total
         for snap in snaps:   # the last inference time's
             record.gram_diag[str(snap.arm)] = min_eigenvalue(
                 snap.estimate.moment_gram)
@@ -430,19 +429,14 @@ def run_replication(scenario: Scenario, rep: int) -> RunRecord:
     return record
 
 
-def _run_rep_star(args):
-    return run_replication(*args)
-
-
 def run_scenario(scenario: Scenario, threads: int = 1) -> list[RunRecord]:
     scenario.validate()
-    jobs = [(scenario, rep) for rep in range(scenario.reps)]
+    reps = range(scenario.reps)
     if threads <= 1:
-        records = [run_replication(*j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_run_rep_star, jobs))
-    return sorted(records, key=lambda r: r.rep)
+        return [run_replication(scenario, rep) for rep in reps]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        # map yields the records in rep order
+        return list(pool.map(run_replication, [scenario] * len(reps), reps))
 
 
 # -- aggregation ------------------------------------------------------------
@@ -556,6 +550,12 @@ def write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def write_json(path: str, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -581,14 +581,11 @@ def export(table: CoverageTable, outdir: str) -> None:
                table.marginal_rows)
     write_csv(os.path.join(outdir, "pointwise.csv"), POINTWISE_COLUMNS,
                table.pointwise_rows)
-    summary = {
+    write_json(os.path.join(outdir, "summary.json"), {
         "schema_version": SCHEMA_VERSION,
         "config": dataclasses.asdict(table.scenario),
         "diagnostics": table.diagnostics,
-    }
-    with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
 
 
 def calibrated_band_ratio(pointwise_rows: list[dict], t_cal: int,

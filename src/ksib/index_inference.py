@@ -21,8 +21,6 @@ import numpy as np
 from .errors import DegeneracyError, DomainError
 from .numerics import chi2_quantile, solve_spd
 
-DEFAULT_ALPHA = 0.5
-
 # Relative eigenvalue cutoff for the tangent-space pseudo-inverse; the
 # directional covariance is rank-deficient by construction (the estimate's
 # own direction spans its null space).
@@ -35,18 +33,8 @@ _POINT_TOL = 1e-8
 
 
 @dataclass
-class InfluenceSet:
-    """Per-pulled-round influence vectors ``t^(alpha-1) A^{-1} w W R``."""
-
-    vectors: np.ndarray  # (pulls, d)
-    alpha: float
-    t: int
-
-
-@dataclass
 class DirectionalReport:
     direction: np.ndarray
-    v_beta_hat: np.ndarray
     v_dir: np.ndarray
     ellipsoid_radius2: float
     marginal_half_widths: np.ndarray
@@ -54,8 +42,8 @@ class DirectionalReport:
 
 
 def build_influence(features, rewards, weights, beta_hat, gram, alpha: float,
-                    t: int) -> InfluenceSet:
-    """Influence vectors for the pulled rounds of one arm.
+                    t: int) -> np.ndarray:
+    """Influence vectors ``t^(alpha-1) A^{-1} w W R``: one row per pulled round.
 
     ``features``, ``rewards``, ``weights`` are restricted to rounds where
     the arm was pulled; ``gram`` is the regularized 1/t-scaled solve matrix
@@ -69,18 +57,17 @@ def build_influence(features, rewards, weights, beta_hat, gram, alpha: float,
     weights = np.asarray(weights, dtype=float)
     beta_hat = np.asarray(beta_hat, dtype=float)
     if features.shape[0] == 0:
-        return InfluenceSet(np.zeros((0, beta_hat.size)), alpha, t)
+        return np.zeros((0, beta_hat.size))
     resid = rewards - features @ beta_hat
     rhs = (weights * resid)[:, None] * features
-    psi = float(t) ** (alpha - 1.0) * solve_spd(gram, rhs.T).T
-    return InfluenceSet(psi, alpha, t)
+    return float(t) ** (alpha - 1.0) * solve_spd(gram, rhs.T).T
 
 
-def v_beta(influence: InfluenceSet) -> np.ndarray:
+def v_beta(influence: np.ndarray) -> np.ndarray:
     """Feasible covariance ``sum_s psi_s psi_s^T`` (symmetric PSD)."""
-    if influence.vectors.shape[0] == 0:
+    if influence.shape[0] == 0:
         raise DegeneracyError("empty influence set: arm never pulled")
-    v = influence.vectors.T @ influence.vectors
+    v = influence.T @ influence
     return 0.5 * (v + v.T)
 
 
@@ -112,8 +99,7 @@ def directional_report(beta_hat, v_beta_mat, t: int, alpha: float,
     radius2 = chi2_quantile(1.0 - delta, max(d - 1, 1))
     half = np.sqrt(np.clip(np.diag(v_dir), 0.0, None) * radius2)
     direction = beta_hat / np.linalg.norm(beta_hat)
-    return DirectionalReport(direction, np.asarray(v_beta_mat, dtype=float),
-                             v_dir, radius2, half, 1.0 - delta)
+    return DirectionalReport(direction, v_dir, radius2, half, 1.0 - delta)
 
 
 def sign_align(candidate, reference):

@@ -86,9 +86,6 @@ class PointwiseCi:
     hi: float
     method: str
     u: float
-    t: int
-    gamma: float
-    level: float
     clamped: bool = False
 
 
@@ -121,22 +118,23 @@ def build_covariance(model: KrrModel, gamma: float = DEFAULT_GAMMA,
                         np.sqrt(model.support_w), resid, clipped)
 
 
-def pointwise_ci(model: KrrModel, cov: NpCovariance, u: float, alpha: float,
-                 t: int, gamma: float) -> PointwiseCi:
-    """CLT interval ``f_hat(u) +/- z_{1-alpha/2} t^-gamma sqrt(d2(u))``.
+def pointwise_ci(cov: NpCovariance, u: float, alpha: float) -> PointwiseCi:
+    """CLT interval ``f_hat(u) +/- z_{1-alpha/2} n^-gamma sqrt(d2(u))``, with
+    the model, its support size ``n`` and ``gamma`` read from ``cov``.
 
-    A negative ``d2`` (solver round-off) is clamped to zero and flagged.
+    ``gamma`` cancels: ``d2`` carries ``n^(2 gamma - 2)``, so the half-width
+    is ``z n^-1 sqrt(d2 / scale)`` for every ``gamma``.  A negative ``d2``
+    (solver round-off) is clamped to zero and flagged.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha must be in (0,1)")
-    center = float(model.predict(u))
+    center = float(cov.model.predict(u))
     d2 = cov.d2(u)
     clamped = d2 < 0.0
-    half = normal_quantile(1.0 - alpha / 2.0) * float(t) ** (-gamma) * \
-        np.sqrt(max(0.0, d2))
+    half = normal_quantile(1.0 - alpha / 2.0) * \
+        float(cov.model.n_support) ** (-cov.gamma) * np.sqrt(max(0.0, d2))
     return PointwiseCi(center, float(half), center - float(half),
-                       center + float(half), METHOD_CLT, float(u), t, gamma,
-                       1.0 - alpha, clamped)
+                       center + float(half), METHOD_CLT, float(u), clamped)
 
 
 def as_band_ci(model: KrrModel, u: float, eta: float, r_tilde: float,
@@ -154,8 +152,7 @@ def as_band_ci(model: KrrModel, u: float, eta: float, r_tilde: float,
     center = float(model.predict(u))
     half = 2.0 * np.sqrt(2.0) * kappa * c_const * (2.0 * r_tilde / eta) ** theta
     return PointwiseCi(center, float(half), center - float(half),
-                       center + float(half), METHOD_BAND, float(u),
-                       model.n_support, 0.0, 1.0 - eta)
+                       center + float(half), METHOD_BAND, float(u))
 
 
 def exploration_coefficient(propensities) -> float:

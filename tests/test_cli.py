@@ -117,6 +117,18 @@ class TestSimulate:
         assert "error: inference_times must" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_negative_audit_reps_rejected(self, tmp_path, capsys, monkeypatch):
+        """A negative count used to run the study and write no log."""
+        def no_study(*args, **kwargs):
+            raise AssertionError("a trajectory ran")
+
+        monkeypatch.setattr("ksib.cli.run_scenario", no_study)
+        out = tmp_path / "x"
+        assert main(SIM_ARGS + ["--config", patch_times(tmp_path / "c.json"),
+                                "--audit-reps", "-2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --audit-reps must be >= 0, got -2\n"
+        assert not out.exists()
+
     def test_summary_echoes_resolved_config(self, sim_out):
         summary = json.loads((sim_out / "summary.json").read_text())
         assert summary["config"]["T"] == 140
@@ -266,6 +278,52 @@ class TestInferReplay:
         assert err.startswith(f"error: audit log line 3, column {column}: "
                               f"arm outside 0..1, got '{cell}'")
 
+    # a propensity outside (0, 1] or an epsilon outside (0, 1) used to end in
+    # an error about propensities that named neither line nor column
+    @pytest.mark.parametrize("row, column, message", [
+        ("2,0.1,0,1,0,0.0,0.5", "propensity", "propensity outside (0, 1], got '0'"),
+        ("2,0.1,0,1,3.5,0.0,0.5", "propensity", "propensity outside (0, 1], got '3.5'"),
+        ("2,0.1,0,1,-0.5,0.0,0.5", "propensity", "propensity outside (0, 1], got '-0.5'"),
+        ("2,0.1,0,1,0.5,0.0,7", "epsilon", "epsilon outside (0, 1), got '7'"),
+        ("2,0.1,0,1,0.5,0.0,-0.2", "epsilon", "epsilon outside (0, 1), got '-0.2'"),
+        ("2,0.1,0,1,0.5,0.0,1", "epsilon", "epsilon outside (0, 1), got '1'"),
+        ("2,0.1,0,1,0.5,0.0,0.0", "epsilon", "epsilon outside (0, 1), got '0.0'"),
+    ])
+    def test_out_of_range_probability_names_line_and_column(
+            self, tmp_path, capsys, row, column, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(self.HEADER + self.GOOD_ROW + row + "\n")
+        assert main(["infer", "--log", str(bad), "--arm", "0",
+                     "--t", "60"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: audit log line 3, column {column}: {message}\n")
+
+    def test_probability_bounds_accepted(self, tmp_path):
+        """A propensity of exactly 1 is a valid cell."""
+        log = tmp_path / "log.csv"
+        log.write_text(self.HEADER + self.GOOD_ROW + "2,0.1,1,1,1.0,0.0,0.5\n")
+        assert read_audit(str(log)).propensity.tolist() == [0.5, 1.0]
+
+    def test_edited_study_log_names_first_bad_cell(self, sim_out, tmp_path,
+                                                   capsys):
+        """Propensity and epsilon edits on a study log are refused at the
+        first edited line, whichever column comes first there."""
+        with open(sim_out / "rounds_rep0.csv", newline="",
+                  encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        p_col, e_col = rows[0].index("propensity"), rows[0].index("epsilon")
+        rows[41][p_col] = "3.5"
+        for i in range(41, 51):
+            rows[i][e_col] = "7"
+        bad = tmp_path / "edited.csv"
+        with open(bad, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        assert main(["infer", "--log", str(bad), "--arm", "0",
+                     "--t", "100", "--T0", "20"]) == 1
+        assert capsys.readouterr().err == (
+            "error: audit log line 42, column propensity: "
+            "propensity outside (0, 1], got '3.5'\n")
+
     def test_relabelled_pulls_refused(self, sim_out, tmp_path, capsys):
         """A study log with some of arm 1's pulls relabelled as arm 7 is
         refused at the first relabelled line."""
@@ -291,8 +349,9 @@ class TestInferReplay:
         CRLF row ends, blanks, signs and underscores."""
         with open(sim_out / "rounds_rep0.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-        # '0_1' is arm 1: an arm outside 0..1 is refused
-        rows[1][1:6] = [" 0.5 ", "+1", "1", "0_1", "-0.0"]
+        # '0_1' is arm 1: an arm outside 0..1 is refused, and so is a
+        # propensity outside (0, 1], so the signed zero is a reward
+        rows[1][1:7] = [" 0.5 ", "+1", "1", "0_1", "+0.5", "-0.0"]
         log = tmp_path / "log.csv"
         log.write_text("\r\n".join(",".join(f'"{c}"' for c in row)
                                     for row in rows), newline="")
@@ -399,3 +458,37 @@ class TestRealdata:
                      "--perms", "1", "--out", str(tmp_path / "rd3")])
         assert code != 0
         capsys.readouterr()
+
+    def test_class_name_labels_refused_with_remedy(self, tmp_path, capsys):
+        """Class names such as the Rice dataset's are refused with what the
+        column must hold; the CLI has no label map."""
+        path = tmp_path / "rice.csv"
+        path.write_text("Area,Perimeter,Class\n15231,525.6,Cammeo\n"
+                        "11434,404.7,Osmancik\n")
+        code = main(["realdata", "--csv", str(path), "--label-col", "Class",
+                     "--perms", "1", "--out", str(tmp_path / "rd")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: label 'Cammeo' is not numeric; "
+                              "the label column must hold 0/1 labels")
+        assert "label_map" in err
+        assert not (tmp_path / "rd").exists()
+
+
+class TestScenarioFlags:
+    """Every command builds its Scenario one way, so one bad flag value
+    gives one message whichever command it is passed to."""
+
+    @pytest.mark.parametrize("command", ["simulate", "realdata", "infer"])
+    def test_negative_T0(self, sim_out, tmp_path, capsys, command):
+        out = str(tmp_path / "x")
+        args = {"simulate": ["--reps", "1", "--out", out],
+                "realdata": ["--csv", two_cluster_csv(tmp_path / "c.csv", n=300),
+                             "--label-col", "label", "--out", out],
+                "infer": ["--log", str(sim_out / "rounds_rep0.csv"),
+                          "--arm", "0", "--t", "60"]}[command]
+        assert main([command, "--T0", "-5"] + args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: need 0 < T0 < T\n"
+        assert captured.out == ""
+        assert not os.path.exists(out)

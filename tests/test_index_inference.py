@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from ksib.errors import DegeneracyError
-from ksib.index_inference import (InfluenceSet, build_influence,
-                                  directional_covariance, directional_report,
-                                  ellipsoid_covers, marginal_rows, sign_align,
-                                  v_beta)
+from ksib.index_inference import (build_influence, directional_covariance,
+                                  directional_report, ellipsoid_covers,
+                                  marginal_rows, sign_align, v_beta)
 from ksib.numerics import chi2_quantile, min_eigenvalue
 
 
@@ -26,35 +25,35 @@ class TestBuildInfluence:
         beta = np.array([2.0, 3.0])
         ys = feats @ beta
         infl = build_influence(feats, ys, np.ones(2), beta, np.eye(2), 0.5, 2)
-        np.testing.assert_allclose(infl.vectors, 0.0, atol=1e-14)
+        np.testing.assert_allclose(infl, 0.0, atol=1e-14)
 
     def test_single_round_formula(self):
         infl = build_influence(np.array([[1.0, 0.0]]), np.array([3.0]),
                                np.array([2.0]), np.zeros(2), np.eye(2),
                                alpha=0.5, t=1)
-        np.testing.assert_allclose(infl.vectors, [[6.0, 0.0]], atol=1e-12)
+        np.testing.assert_allclose(infl, [[6.0, 0.0]], atol=1e-12)
 
     def test_empty_history(self):
         infl = build_influence(np.zeros((0, 2)), np.zeros(0), np.zeros(0),
                                np.zeros(2), np.eye(2), 0.5, 5)
-        assert infl.vectors.shape == (0, 2)
+        assert infl.shape == (0, 2)
         with pytest.raises(DegeneracyError):
             v_beta(infl)
 
 
 class TestVBeta:
     def test_rank_one(self):
-        infl = InfluenceSet(np.array([[6.0, 0.0]]), 0.5, 1)
+        infl = np.array([[6.0, 0.0]])
         np.testing.assert_allclose(v_beta(infl), [[36.0, 0.0], [0.0, 0.0]])
 
     def test_orthogonal_pair_gives_identity(self):
-        infl = InfluenceSet(np.array([[1.0, 0.0], [0.0, 1.0]]), 0.5, 2)
+        infl = np.array([[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_allclose(v_beta(infl), np.eye(2))
 
     def test_psd(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            infl = InfluenceSet(rng.normal(size=(7, 3)), 0.5, 7)
+            infl = rng.normal(size=(7, 3))
             assert min_eigenvalue(v_beta(infl)) >= -1e-10
 
 

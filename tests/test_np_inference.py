@@ -138,8 +138,8 @@ class TestDenseOracle:
         for t in sc.inference_times:
             for arm in range(sc.n_arms):
                 snap = inference_snapshot(log, t, arm, sc)
-                cov, dense = snap.covariance, oracle(snap.model)
-                np.testing.assert_allclose(snap.model.dual_coeffs,
+                cov, dense = snap.covariance, oracle(snap.covariance.model)
+                np.testing.assert_allclose(cov.model.dual_coeffs,
                                            dense.dual_coeffs, rtol=0, atol=1e-9)
                 np.testing.assert_allclose(cov.one_minus_h, dense.one_minus_h(),
                                            rtol=0, atol=1e-10)
@@ -190,28 +190,33 @@ class TestPointwiseCi:
                 GaussianKernel(1.0))
         cov = build_covariance(m, 0.5)
         cov._resid[:] = 0.0
-        ci = pointwise_ci(m, cov, 0.5, 0.05, 10, 0.5)
+        ci = pointwise_ci(cov, 0.5, 0.05)
         assert ci.lo == ci.center == ci.hi
 
     def test_quantile_and_scaling(self):
         m = fit([0.0], [1.0], [1.0], 1.0, GaussianKernel(1.0))
         cov = build_covariance(m, 0.5)
-        ci = pointwise_ci(m, cov, 0.0, 0.05, 1, 0.5)
+        ci = pointwise_ci(cov, 0.0, 0.05)
         d = np.sqrt(cov.d2(0.0))
         z = normal_quantile(0.975)
         assert ci.half_width == pytest.approx(z * d)
         assert ci.method == METHOD_CLT
         assert ci.lo == pytest.approx(ci.center - ci.half_width)
-        # t = 1 makes the t^-gamma factor neutral for any gamma
-        ci2 = pointwise_ci(m, cov, 0.0, 0.05, 1, 0.25)
+        # a support of one point makes n^-gamma and the covariance's
+        # n^(2 gamma - 2) neutral for any gamma
+        ci2 = pointwise_ci(build_covariance(m, 0.25), 0.0, 0.05)
         assert ci2.half_width == pytest.approx(ci.half_width)
 
-    def test_t_scaling(self):
-        m = fit([0.0], [1.0], [1.0], 1.0, GaussianKernel(1.0))
+    def test_support_size_scaling(self):
+        """The interval is scaled by the support size of the covariance's
+        own fit: ``z n^-gamma sqrt(d2)``, bit for bit, at n = 4."""
+        m = fit([0.0, 0.5, 1.0, 1.5], [1.0, 0.2, 0.7, 0.4], np.ones(4), 1.0,
+                GaussianKernel(1.0))
         cov = build_covariance(m, 0.5)
-        h1 = pointwise_ci(m, cov, 0.0, 0.05, 100, 0.5).half_width
-        h2 = pointwise_ci(m, cov, 0.0, 0.05, 400, 0.5).half_width
-        assert h2 == pytest.approx(h1 / 2.0)
+        d2 = cov.d2(0.7)
+        assert m.n_support == 4 and d2 > 0.0
+        half = pointwise_ci(cov, 0.7, 0.05).half_width
+        assert half == normal_quantile(1.0 - 0.05 / 2.0) * 4.0 ** -0.5 * np.sqrt(d2)
 
     def test_iid_coverage_near_nominal(self):
         """Uniform weights, true projections: CLT interval covers ~95%."""
@@ -225,7 +230,7 @@ class TestPointwiseCi:
             m = fit(u, y, np.ones(n), 1e-3, GaussianKernel(1.0))
             cov = build_covariance(m, 0.5)
             for ustar in rng.normal(size=2):
-                ci = pointwise_ci(m, cov, float(ustar), 0.05, n, 0.5)
+                ci = pointwise_ci(cov, float(ustar), 0.05)
                 hits += ci.lo <= truth_fn(ustar) <= ci.hi
                 total += 1
         assert hits / total >= 0.88
@@ -302,7 +307,7 @@ class TestShrinkage:
             m = fit(u, y, np.ones(n), ridge_schedule(n),
                     GaussianKernel(median_bandwidth(u)))
             cov = build_covariance(m, 0.5)
-            hs = [pointwise_ci(m, cov, float(v), 0.05, n, 0.5).half_width
+            hs = [pointwise_ci(cov, float(v), 0.05).half_width
                   for v in np.linspace(-1.5, 1.5, 13)]
             halves[n] = float(np.mean(hs))
         assert halves[999] < halves[200]
