@@ -3,8 +3,8 @@
 ``simulate`` runs the synthetic replication grid and writes the export
 files; ``realdata`` replays a binary-label CSV as a two-arm bandit;
 ``infer`` recomputes every inference quantity for one (arm, t) from an
-audit log alone and prints JSON to stdout.  Human-readable progress goes
-to stderr so stdout stays machine-readable.
+audit log and its run config and prints JSON to stdout.  Human-readable
+progress goes to stderr so stdout stays machine-readable.
 
 All randomness flows from a single ``--seed``; per-replication streams are
 split from it, so reruns are byte-identical.  ``KSIB_THREADS`` provides the
@@ -23,14 +23,17 @@ import sys
 import numpy as np
 
 from .environment import ReplayEnv, load_csv
-from .errors import ConfigError, KsibError
+from .errors import ConfigError, DomainError, KsibError
 from .harness import (MARGINAL_COLUMNS, Scenario, TrajectoryLog, aggregate,
                       export, inference_snapshot, np_cis_at, run_policy,
-                      run_scenario, run_trajectory, write_csv, write_json)
+                      run_scenario, write_csv, write_json)
 from .index_inference import marginal_rows
 from .numerics import Rng
 
 REALDATA_INFERENCE_TIMES = (200, 300, 400, 500, 600, 700, 800, 900)
+# the Scenario fields simulate takes as flags (realdata has --seed, --T, --T0)
+SCENARIO_FLAGS = ("d", "sigma", "reps", "seed", "T", "T0", "zeta", "gamma",
+                  "alpha", "lambda_beta", "level")
 
 
 def _threads(flag) -> int:
@@ -55,8 +58,7 @@ def _scenario_from_args(args, **fixed) -> Scenario:
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
         values.update(raw)
-    for name in ("d", "sigma", "reps", "seed", "T", "T0", "zeta", "gamma",
-                 "alpha", "lambda_beta", "level", "score"):
+    for name in SCENARIO_FLAGS:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
@@ -68,11 +70,13 @@ def _scenario_from_args(args, **fixed) -> Scenario:
     return scenario
 
 
-def _write_audit(log: TrajectoryLog, path: str) -> None:
+def _write_audit(log: TrajectoryLog, path: str, scenario: Scenario) -> None:
+    """Write ``log`` to ``path`` and its run's ``--config`` JSON beside it."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TrajectoryLog.header(log.dim))
         writer.writerows(log.to_rows())
+    write_json(os.path.splitext(path)[0] + ".json", dataclasses.asdict(scenario))
 
 
 def read_audit(path: str) -> TrajectoryLog:
@@ -90,17 +94,19 @@ def cmd_simulate(args) -> int:
         # realdata may have an empty grid; a study without one exports nothing
         raise ConfigError("inference_times must name at least one round")
     threads = _threads(args.threads)
-    if args.audit_reps < 0:
-        raise ConfigError(f"--audit-reps must be >= 0, got {args.audit_reps}")
+    if not 0 <= args.audit_reps <= scenario.reps:
+        bound = ">= 0" if args.audit_reps < 0 else f"<= reps ({scenario.reps})"
+        raise ConfigError(f"--audit-reps must be {bound}, got {args.audit_reps}")
     print(f"simulate: {scenario.scenario_id} reps={scenario.reps} "
           f"threads={threads}", file=sys.stderr)
     records = run_scenario(scenario, threads=threads)
     table = aggregate(records, scenario)
     export(table, args.out)
-    if args.audit_reps:
-        for rep in range(min(args.audit_reps, scenario.reps)):
-            log, _, _, _ = run_trajectory(scenario, rep)
-            _write_audit(log, os.path.join(args.out, f"rounds_rep{rep}.csv"))
+    for record in records[:args.audit_reps]:
+        if record.log is None:
+            raise DomainError(f"rep {record.rep} has no audit log: {record.error}")
+        _write_audit(record.log, os.path.join(
+            args.out, f"rounds_rep{record.rep}.csv"), scenario)
     failed = table.diagnostics["failed"]
     print(f"done: {scenario.reps - failed}/{scenario.reps} replications, "
           f"exports in {args.out}", file=sys.stderr)
@@ -124,7 +130,7 @@ def cmd_realdata(args) -> int:
         env = ReplayEnv(table, seed=master.split(perm).seed, horizon=args.T)
         log, means = run_policy(scenario, env, master.split(10_000 + perm))
         if args.audit:
-            _write_audit(log, os.path.join(args.out, f"rounds_perm{perm}.csv"))
+            _write_audit(log, os.path.join(args.out, f"rounds_perm{perm}.csv"), scenario)
         labels = means[:, 1]
         accuracy = float(np.mean(log.reward))
         base = max(float(np.mean(labels == 0)), float(np.mean(labels == 1)))
@@ -152,8 +158,14 @@ def cmd_realdata(args) -> int:
 
 def cmd_infer(args) -> int:
     log = read_audit(args.log)
-    scenario = _scenario_from_args(args, d=log.dim, inference_times=(args.t,),
+    args.config = os.path.splitext(args.log)[0] + ".json"   # as _write_audit names it
+    if not os.path.exists(args.config):
+        raise ConfigError(f"no config file {args.config} beside the log; "
+                          "write the run's --config JSON there")
+    scenario = _scenario_from_args(args, inference_times=(args.t,),
                                    T=max(log.rounds, args.t + 1))
+    if scenario.d != log.dim:
+        raise ConfigError(f"{args.config}: d={scenario.d}, log has {log.dim} context columns")
     if args.context:
         try:
             x = np.array([float(v) for v in args.context.split(",")])
@@ -201,21 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run the synthetic replication grid")
     sim.add_argument("--config", help="JSON config file (strict keys)")
-    sim.add_argument("--d", type=int)
-    sim.add_argument("--sigma", type=float)
-    sim.add_argument("--reps", type=int)
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--T", type=int)
-    sim.add_argument("--T0", type=int)
-    sim.add_argument("--zeta", type=float)
-    sim.add_argument("--gamma", type=float)
-    sim.add_argument("--alpha", type=float)
-    sim.add_argument("--lambda-beta", dest="lambda_beta", type=float)
-    sim.add_argument("--level", type=float)
+    for name in SCENARIO_FLAGS:   # typed as the field's default
+        sim.add_argument("--" + name.replace("_", "-"), dest=name,
+                         type=type(getattr(Scenario, name)))
     sim.add_argument("--out", required=True)
     sim.add_argument("--threads", type=int, default=None)
     sim.add_argument("--audit-reps", type=int, default=0,
-                     help="also write per-round audit CSVs for this many reps")
+                     help="also write per-round audit CSVs and their configs for this many reps")
     sim.set_defaults(func=cmd_simulate)
 
     real = sub.add_parser("realdata", help="replay a binary-label CSV")
@@ -235,10 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--log", required=True)
     inf.add_argument("--arm", type=int, required=True)
     inf.add_argument("--t", type=int, required=True)
-    inf.add_argument("--T0", type=int, default=50)
     inf.add_argument("--context", default=None,
                      help="comma-separated evaluation context")
-    inf.add_argument("--score", choices=("known", "empirical"), default=None)
     inf.set_defaults(func=cmd_infer)
     return parser
 

@@ -5,10 +5,10 @@ synthetic single-index environment, fires parametric and nonparametric
 inference at a fixed grid of times, and aggregates coverage rates, interval
 lengths, and regret paths into byte-stable CSV/JSON exports.
 
-Inference is a pure function of the audit log: at each inference time the
-whole per-arm state (whitening, index estimate, kernel regression, both
-covariance estimators) is rebuilt from rounds 1..t, so the offline replay
-command reproduces every reported number exactly.
+Inference is a pure function of the audit log and its ``Scenario``: at
+each inference time the whole per-arm state (whitening, index estimate,
+kernel regression, both covariance estimators) is rebuilt from rounds
+1..t, so ``ksib infer`` reproduces every reported number exactly.
 """
 
 from __future__ import annotations
@@ -282,6 +282,8 @@ def score_features_for(log: TrajectoryLog, t: int, score: str) -> np.ndarray:
 def inference_snapshot(log: TrajectoryLog, t: int, arm: int,
                        scenario: Scenario) -> ArmSnapshot:
     """Rebuild one arm's full inferential state from the log at time t."""
+    if not 0 <= arm < scenario.n_arms:
+        raise DomainError(f"arm {arm} outside 0..{scenario.n_arms - 1}")
     if t <= scenario.T0:
         raise DomainError(f"inference time {t} not after warm start {scenario.T0}")
     if t > log.rounds:
@@ -328,21 +330,18 @@ def np_cis_at(snapshot: ArmSnapshot, x_next: np.ndarray, scenario: Scenario):
 
 @dataclass
 class RunRecord:
-    """One replication's inference snapshots and regret path."""
+    """One replication's inference rows, regret path and trajectory log."""
 
     rep: int
     ok: bool = True
     error: str = ""
-    joint_rows: list = field(default_factory=list)
     param_rows: list = field(default_factory=list)
     marginal_rows: list = field(default_factory=list)
     pointwise_rows: list = field(default_factory=list)
     regret_rows: list = field(default_factory=list)
     clamped: int = 0
     gram_diag: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
+    log: TrajectoryLog | None = field(default=None, compare=False)
 
 
 def run_policy(scenario: Scenario, env, rng: Rng):
@@ -388,21 +387,19 @@ def run_replication(scenario: Scenario, rep: int) -> RunRecord:
     record = RunRecord(rep)
     try:
         log, means, ledger, env = run_trajectory(scenario, rep)
+        record.log = log
         betas = env.betas
         snaps = []
         for t in scenario.inference_times:
             snaps = [inference_snapshot(log, t, a, scenario)
                      for a in range(scenario.n_arms)]
-            covered_all = []
             for snap in snaps:
                 truth = betas[snap.arm]
                 covered = index_inference.ellipsoid_covers(snap.report, truth)
-                covered_all.append(covered)
                 record.param_rows.append({"t": t, "arm": snap.arm,
                                           "covered": int(covered)})
                 record.marginal_rows.extend(index_inference.marginal_rows(
                     rep, snap.arm, t, snap.report, truth))
-            record.joint_rows.append({"t": t, "covered": int(all(covered_all))})
             if t < log.rounds:
                 x_next = log.contexts[t]   # round t+1 (0-based row t)
                 for snap in snaps:
@@ -486,8 +483,9 @@ def aggregate(records: list[RunRecord], scenario: Scenario) -> CoverageTable:
     times = list(scenario.inference_times)
     coverage_rows, length_rows = [], []
     for t in times:
-        joint = [row["covered"] for r in ok for row in r.joint_rows
-                 if row["t"] == t]
+        # a replication covers jointly at t when every arm's ellipsoid does
+        joint = [int(all(flags)) for r in ok if (flags := [
+            row["covered"] for row in r.param_rows if row["t"] == t])]
         coverage_rows.append(_rate_row(scenario, -1, t, "param_joint", joint))
         for a in range(scenario.n_arms):
             per = [row["covered"] for r in ok for row in r.param_rows

@@ -343,7 +343,7 @@ class TestCriterion10:
         from ksib.cli import read_audit, _write_audit
         log, _, _, _ = run_trajectory(sc, 0)
         path = tmp_path / "audit.csv"
-        _write_audit(log, str(path))
+        _write_audit(log, str(path), sc)
         replayed = read_audit(str(path))
         ok_replay = True
         for t in sc.inference_times:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ class TestSimulate:
     def test_outputs_exist(self, sim_out):
         for name in ("coverage.csv", "lengths.csv", "regret.csv",
                      "marginals.csv", "pointwise.csv", "summary.json",
-                     "rounds_rep0.csv"):
+                     "rounds_rep0.csv", "rounds_rep0.json"):
             assert (sim_out / name).exists()
 
     def test_rerun_identical_hashes(self, sim_out, tmp_path):
@@ -129,6 +130,51 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: --audit-reps must be >= 0, got -2\n"
         assert not out.exists()
 
+    def test_audit_reps_above_reps_rejected(self, tmp_path, capsys, monkeypatch):
+        """A count above --reps used to be clipped to it silently."""
+        def no_study(*args, **kwargs):
+            raise AssertionError("a trajectory ran")
+
+        monkeypatch.setattr("ksib.cli.run_scenario", no_study)
+        out = tmp_path / "x"
+        assert main(SIM_ARGS + ["--config", patch_times(tmp_path / "c.json"),
+                                "--audit-reps", "4", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --audit-reps must be <= reps (3), got 4\n")
+        assert not out.exists()
+
+    def test_audit_logs_are_the_study_trajectories(self, sim_out, tmp_path,
+                                                   monkeypatch):
+        """Each audited trajectory runs once, for the study itself."""
+        from ksib import harness
+        reps, real = [], harness.run_trajectory
+
+        def counted(scenario, rep):
+            reps.append(rep)
+            return real(scenario, rep)
+
+        monkeypatch.setattr(harness, "run_trajectory", counted)
+        out = tmp_path / "out"
+        assert main(SIM_ARGS + ["--config", patch_times(tmp_path / "c.json"),
+                                "--out", str(out), "--audit-reps", "3",
+                                "--threads", "1"]) == 0
+        assert reps == [0, 1, 2]
+        assert sorted(p.name for p in out.glob("rounds_*")) == [
+            f"rounds_rep{r}.{ext}" for r in range(3) for ext in ("csv", "json")]
+        for name in ("rounds_rep0.csv", "rounds_rep0.json"):
+            assert (out / name).read_bytes() == (sim_out / name).read_bytes()
+
+    def test_config_beside_log_reruns_the_study(self, sim_out, tmp_path):
+        """The file beside each log is the resolved config as a plain
+        --config object: summary.json's, and a rerun from it alone writes
+        the same bytes."""
+        config = json.loads((sim_out / "rounds_rep0.json").read_text())
+        assert config == json.loads((sim_out / "summary.json").read_text())["config"]
+        out = tmp_path / "rerun"
+        assert main(["simulate", "--config", str(sim_out / "rounds_rep0.json"),
+                     "--out", str(out), "--audit-reps", "1"]) == 0
+        assert dir_digest(out) == dir_digest(sim_out)
+
     def test_summary_echoes_resolved_config(self, sim_out):
         summary = json.loads((sim_out / "summary.json").read_text())
         assert summary["config"]["T"] == 140
@@ -151,7 +197,7 @@ class TestInferReplay:
         for t in (60, 139):
             for arm in (0, 1):
                 code = main(["infer", "--log", log_path, "--arm", str(arm),
-                             "--t", str(t), "--T0", "20"])
+                             "--t", str(t)])
                 assert code == 0
                 out = json.loads(capsys.readouterr().out)
                 rows = [r for r in marginals
@@ -159,33 +205,54 @@ class TestInferReplay:
                 assert len(rows) == 2
                 for r in rows:
                     j = int(r["coord"])
-                    assert float(r["center"]) == pytest.approx(
-                        out["direction"][j], abs=1e-9)
+                    center = out["direction"][j]
                     half = out["marginal_half_widths"][j]
-                    assert float(r["hi"]) - float(r["lo"]) == pytest.approx(
-                        2 * half, abs=1e-9)
+                    assert [float(r[k]) for k in ("center", "lo", "hi")] == [
+                        center, center - half, center + half]
                 prows = [r for r in pointwise
                          if r["arm"] == str(arm) and r["t"] == str(t)]
+                assert len(prows) == 2
                 for r in prows:
                     got = out["pointwise"][r["method"]]
-                    assert float(r["center"]) == pytest.approx(got["center"],
-                                                               abs=1e-9)
-                    assert float(r["lo"]) == pytest.approx(got["lo"], abs=1e-9)
-                    assert float(r["hi"]) == pytest.approx(got["hi"], abs=1e-9)
-                    assert float(r["u"]) == pytest.approx(got["u"], abs=1e-9)
+                    for k in ("u", "center", "lo", "hi"):
+                        assert float(r[k]) == got[k]
 
     def test_t_before_warm_start_errors(self, sim_out, capsys):
         code = main(["infer", "--log", str(sim_out / "rounds_rep0.csv"),
-                     "--arm", "0", "--t", "10", "--T0", "20"])
+                     "--arm", "0", "--t", "10"])
         assert code != 0
-        capsys.readouterr()
+        assert "inference_times must lie in (T0, T]" in capsys.readouterr().err
+
+    # such an arm was reported as never pulled
+    @pytest.mark.parametrize("arm", ["2", "-1"])
+    def test_arm_out_of_range_refused(self, sim_out, capsys, arm):
+        assert main(["infer", "--log", str(sim_out / "rounds_rep0.csv"),
+                     "--arm", arm, "--t", "100"]) == 1
+        assert capsys.readouterr().err == f"error: arm {arm} outside 0..1\n"
+
+    def test_log_without_config_refused(self, sim_out, tmp_path, capsys):
+        """No defaults stand in for the run's config."""
+        log = tmp_path / "lone.csv"
+        shutil.copy(sim_out / "rounds_rep0.csv", log)
+        assert main(["infer", "--log", str(log), "--arm", "0", "--t", "60"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: no config file {tmp_path / 'lone.json'} "
+                                "beside the log; write the run's --config JSON there\n")
+        assert captured.out == ""
+
+    def test_config_of_other_dimension_refused(self, sim_out, tmp_path, capsys):
+        log = tmp_path / "rounds.csv"
+        shutil.copy(sim_out / "rounds_rep0.csv", log)
+        (tmp_path / "rounds.json").write_text(json.dumps({"d": 3}))
+        assert main(["infer", "--log", str(log), "--arm", "0", "--t", "60"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'rounds.json'}: d=3, log has 2 context columns\n")
 
     # a non-number used to end in a ValueError traceback and a nan printed
-    # NaN centres, which is not JSON; a negative T0 went unchecked
+    # NaN centres, which is not JSON
     @pytest.mark.parametrize("flags, message", [
         (["--context", "1,abc"], "--context"),
-        (["--context", "1,nan"], "--context must be finite"),
-        (["--T0", "-5"], "need 0 < T0 < T")])
+        (["--context", "1,nan"], "--context must be finite")])
     def test_bad_input_refused(self, sim_out, capsys, flags, message):
         assert main(["infer", "--log", str(sim_out / "rounds_rep0.csv"),
                      "--arm", "0", "--t", "60"] + flags) == 1
@@ -319,7 +386,7 @@ class TestInferReplay:
         with open(bad, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(rows)
         assert main(["infer", "--log", str(bad), "--arm", "0",
-                     "--t", "100", "--T0", "20"]) == 1
+                     "--t", "100"]) == 1
         assert capsys.readouterr().err == (
             "error: audit log line 42, column propensity: "
             "propensity outside (0, 1], got '3.5'\n")
@@ -338,7 +405,7 @@ class TestInferReplay:
         with open(bad, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(rows)
         assert main(["infer", "--log", str(bad), "--arm", "1",
-                     "--t", "100", "--T0", "20"]) == 1
+                     "--t", "100"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: audit log line {lines[0] + 1}, "
                               "column pulled_arm: arm outside 0..1, got '7'")
@@ -423,7 +490,8 @@ class TestRealdata:
         assert not out.exists()
 
     def test_replay_reproduces_live_marginals(self, tmp_path, capsys):
-        """``infer`` on a realdata audit log recomputes every marginal row."""
+        """``infer`` on a realdata audit log recomputes every marginal row
+        exactly, with the T0 and score of the run read from its config."""
         csv_path = two_cluster_csv(tmp_path / "clusters.csv")
         out = tmp_path / "rd"
         assert main(["realdata", "--csv", csv_path, "--label-col", "label",
@@ -439,16 +507,15 @@ class TestRealdata:
                 rows = [r for r in live
                         if r["t"] == str(t) and r["arm"] == str(arm)]
                 assert main(["infer", "--log", str(out / "rounds_perm0.csv"),
-                             "--arm", str(arm), "--t", str(t), "--T0", "20",
-                             "--score", "empirical"]) == 0
+                             "--arm", str(arm), "--t", str(t)]) == 0
                 got = json.loads(capsys.readouterr().out)
                 assert len(rows) == len(got["direction"]) == 3
                 for r in rows:
                     j = int(r["coord"])
-                    assert float(r["center"]) == pytest.approx(
-                        got["direction"][j], rel=0, abs=1e-9)
-                    assert float(r["hi"]) - float(r["lo"]) == pytest.approx(
-                        2 * got["marginal_half_widths"][j], rel=0, abs=1e-9)
+                    center = got["direction"][j]
+                    half = got["marginal_half_widths"][j]
+                    assert [float(r[k]) for k in ("center", "lo", "hi")] == [
+                        center, center - half, center + half]
                     checked += 1
         assert checked == 18
 
@@ -476,18 +543,24 @@ class TestRealdata:
 
 
 class TestScenarioFlags:
-    """Every command builds its Scenario one way, so one bad flag value
-    gives one message whichever command it is passed to."""
+    """Every command builds its Scenario one way, so one bad value gives one
+    message whichever command it is passed to: as a flag, or for ``infer``
+    in the config file beside the log."""
 
     @pytest.mark.parametrize("command", ["simulate", "realdata", "infer"])
     def test_negative_T0(self, sim_out, tmp_path, capsys, command):
         out = str(tmp_path / "x")
-        args = {"simulate": ["--reps", "1", "--out", out],
+        if command == "infer":
+            shutil.copy(sim_out / "rounds_rep0.csv", tmp_path / "rounds.csv")
+            (tmp_path / "rounds.json").write_text(json.dumps({"T0": -5}))
+            argv = ["infer", "--log", str(tmp_path / "rounds.csv"),
+                    "--arm", "0", "--t", "60"]
+        else:
+            argv = [command, "--T0", "-5"] + {
+                "simulate": ["--reps", "1", "--out", out],
                 "realdata": ["--csv", two_cluster_csv(tmp_path / "c.csv", n=300),
-                             "--label-col", "label", "--out", out],
-                "infer": ["--log", str(sim_out / "rounds_rep0.csv"),
-                          "--arm", "0", "--t", "60"]}[command]
-        assert main([command, "--T0", "-5"] + args) == 1
+                             "--label-col", "label", "--out", out]}[command]
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: need 0 < T0 < T\n"
         assert captured.out == ""

@@ -21,6 +21,15 @@ TINY = dict(T=140, T0=20, reps=4, inference_times=(60, 100, 139),
 WRONG_TYPE = {"int": "2", "float": "x", "str": 3, "tuple": 5}
 
 
+def assert_same_record(a, b):
+    """Equal fields, with ``repr`` keeping -0.0 and int/float apart as
+    JSON would, and bit-equal logs."""
+    assert a == b and repr(a) == repr(b)
+    for f in dataclasses.fields(TrajectoryLog):
+        x, y = getattr(a.log, f.name), getattr(b.log, f.name)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
 @pytest.fixture(scope="module")
 def tiny_records():
     sc = Scenario(**TINY)
@@ -124,7 +133,7 @@ class TestRunReplication:
     def test_deterministic_records(self, tiny_records):
         sc, records = tiny_records
         again = run_replication(sc, 2)
-        assert again.to_json() == records[2].to_json()
+        assert_same_record(again, records[2])
 
     def test_noiseless_linear_link_always_covered(self):
         """sigma=0, linear links, no ridge: ellipsoid contains the truth."""
@@ -156,6 +165,23 @@ class TestRunReplication:
         with pytest.raises(DomainError):
             inference_snapshot(log, sc.T + 1, 0, sc)
 
+    @pytest.mark.parametrize("arm", [2, -1])
+    def test_snapshot_rejects_arm_out_of_range(self, tiny_records, arm):
+        """Such an arm was reported as never pulled."""
+        sc, records = tiny_records
+        with pytest.raises(DomainError, match=rf"^arm {arm} outside 0\.\.1$"):
+            inference_snapshot(records[0].log, 100, arm, sc)
+
+    def test_record_keeps_its_trajectory_log(self, tiny_records):
+        sc, records = tiny_records
+        log, _, _, _ = run_trajectory(sc, 1)
+        assert_same_record(records[1], dataclasses.replace(records[1], log=log))
+
+    def test_failed_trajectory_leaves_no_log(self):
+        """An invalid scenario fails inside the trajectory itself."""
+        rec = run_replication(Scenario(**{**TINY, "n_arms": 3}), 0)
+        assert not rec.ok and rec.log is None
+
 
 class TestAggregate:
     def test_rates_and_se(self, tiny_records):
@@ -163,8 +189,10 @@ class TestAggregate:
         table = aggregate(records, sc)
         row = next(r for r in table.coverage_rows
                    if r["kind"] == "param_joint" and r["t"] == 100)
-        flags = [jr["covered"] for rec in records for jr in rec.joint_rows
-                 if jr["t"] == 100]
+        # jointly covered: both arms' ellipsoids cover at t=100
+        flags = [int(all(pr["covered"] for pr in rec.param_rows
+                         if pr["t"] == 100)) for rec in records]
+        assert len(flags) == sc.reps
         assert row["rate"] == pytest.approx(np.mean(flags))
         assert row["se"] == pytest.approx(
             np.sqrt(row["rate"] * (1 - row["rate"]) / len(flags)))
@@ -175,13 +203,16 @@ class TestAggregate:
         for rep in range(100):
             rec = RunRecord(rep)
             for t in sc.inference_times:
-                rec.joint_rows.append({"t": t, "covered": rep % 2})
+                # arm 1 always covers, so the joint flag is arm 0's
+                rec.param_rows.append({"t": t, "arm": 0, "covered": rep % 2})
+                rec.param_rows.append({"t": t, "arm": 1, "covered": 1})
                 rec.regret_rows.append({"t": t, "avg_regret": 0.0})
             records.append(rec)
         table = aggregate(records, sc)
         row = next(r for r in table.coverage_rows if r["kind"] == "param_joint")
         assert row["rate"] == pytest.approx(0.5)
         assert row["se"] == pytest.approx(0.05)
+        assert table.coverage_rate("param", 60, arm=1) == 1.0
 
     def test_known_probability_coverage_rate(self):
         """Bernoulli(0.9) covered flags: harness rate lands within 3 SE."""
@@ -191,7 +222,9 @@ class TestAggregate:
         records = []
         for rep in range(n):
             rec = RunRecord(rep)
-            rec.joint_rows.append({"t": 60, "covered": int(rng.uniform() < 0.9)})
+            rec.param_rows.append({"t": 60, "arm": 0,
+                                   "covered": int(rng.uniform() < 0.9)})
+            rec.param_rows.append({"t": 60, "arm": 1, "covered": 1})
             rec.regret_rows.append({"t": 60, "avg_regret": 0.0})
             records.append(rec)
         table = aggregate(records, sc)
@@ -259,7 +292,7 @@ class TestParallel:
         serial = run_scenario(sc, threads=1)
         parallel = run_scenario(sc, threads=2)
         for a, b in zip(serial, parallel):
-            assert a.to_json() == b.to_json()
+            assert_same_record(a, b)
         out_a, out_b = tmp_path / "s", tmp_path / "p"
         export(aggregate(serial, sc), str(out_a))
         export(aggregate(parallel, sc), str(out_b))
