@@ -249,12 +249,21 @@ class TestInferReplay:
             f"error: {tmp_path / 'rounds.json'}: d=3, log has 2 context columns\n")
 
     # a non-number used to end in a ValueError traceback and a nan printed
-    # NaN centres, which is not JSON
+    # NaN centres, which is not JSON; a negative T0 went unchecked. T0 now
+    # comes from the config beside the log, so a ["--log", edits] case
+    # points --log at a copy whose config is the run's with `edits` applied
     @pytest.mark.parametrize("flags, message", [
         (["--context", "1,abc"], "--context"),
-        (["--context", "1,nan"], "--context must be finite")])
-    def test_bad_input_refused(self, sim_out, capsys, flags, message):
-        assert main(["infer", "--log", str(sim_out / "rounds_rep0.csv"),
+        (["--context", "1,nan"], "--context must be finite"),
+        (["--log", {"T0": -5}], "need 0 < T0 < T")])
+    def test_bad_input_refused(self, sim_out, tmp_path, capsys, flags, message):
+        log = sim_out / "rounds_rep0.csv"
+        if flags[0] == "--log":
+            config = json.loads((sim_out / "rounds_rep0.json").read_text())
+            (tmp_path / "rounds.json").write_text(json.dumps({**config, **flags[1]}))
+            log, flags = tmp_path / "rounds.csv", []
+            shutil.copy(sim_out / "rounds_rep0.csv", log)
+        assert main(["infer", "--log", str(log),
                      "--arm", "0", "--t", "60"] + flags) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
