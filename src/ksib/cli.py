@@ -99,7 +99,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--audit-reps must be {bound}, got {args.audit_reps}")
     print(f"simulate: {scenario.scenario_id} reps={scenario.reps} "
           f"threads={threads}", file=sys.stderr)
-    records = run_scenario(scenario, threads=threads)
+    records = run_scenario(scenario, threads=threads, logs=args.audit_reps)
     table = aggregate(records, scenario)
     export(table, args.out)
     for record in records[:args.audit_reps]:
@@ -162,8 +162,11 @@ def cmd_infer(args) -> int:
     if not os.path.exists(args.config):
         raise ConfigError(f"no config file {args.config} beside the log; "
                           "write the run's --config JSON there")
-    scenario = _scenario_from_args(args, inference_times=(args.t,),
+    scenario = _scenario_from_args(args, inference_times=(),
                                    T=max(log.rounds, args.t + 1))
+    if not scenario.T0 < args.t:
+        raise ConfigError(f"--t must be after the warm start T0={scenario.T0} "
+                          f"of {args.config}, got {args.t}")
     if scenario.d != log.dim:
         raise ConfigError(f"{args.config}: d={scenario.d}, log has {log.dim} context columns")
     if args.context:

@@ -330,7 +330,8 @@ def np_cis_at(snapshot: ArmSnapshot, x_next: np.ndarray, scenario: Scenario):
 
 @dataclass
 class RunRecord:
-    """One replication's inference rows, regret path and trajectory log."""
+    """One replication's inference rows, regret path and, if kept, its
+    trajectory log."""
 
     rep: int
     ok: bool = True
@@ -382,12 +383,15 @@ def run_trajectory(scenario: Scenario, rep: int):
     return log, means, ledger, env
 
 
-def run_replication(scenario: Scenario, rep: int) -> RunRecord:
-    """One seeded trajectory plus the full inference grid."""
+def run_replication(scenario: Scenario, rep: int,
+                    keep_log: bool = True) -> RunRecord:
+    """One seeded trajectory plus the full inference grid; the record holds
+    the trajectory's log when ``keep_log`` is set."""
     record = RunRecord(rep)
     try:
         log, means, ledger, env = run_trajectory(scenario, rep)
-        record.log = log
+        if keep_log:
+            record.log = log
         betas = env.betas
         snaps = []
         for t in scenario.inference_times:
@@ -426,14 +430,18 @@ def run_replication(scenario: Scenario, rep: int) -> RunRecord:
     return record
 
 
-def run_scenario(scenario: Scenario, threads: int = 1) -> list[RunRecord]:
+def run_scenario(scenario: Scenario, threads: int = 1,
+                 logs: int = 0) -> list[RunRecord]:
+    """Every replication of ``scenario``; only the first ``logs`` records
+    keep their trajectory logs, so workers send no other log back."""
     scenario.validate()
     reps = range(scenario.reps)
+    keep = [rep < logs for rep in reps]
     if threads <= 1:
-        return [run_replication(scenario, rep) for rep in reps]
+        return [run_replication(scenario, rep, k) for rep, k in zip(reps, keep)]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         # map yields the records in rep order
-        return list(pool.map(run_replication, [scenario] * len(reps), reps))
+        return list(pool.map(run_replication, [scenario] * len(reps), reps, keep))
 
 
 # -- aggregation ------------------------------------------------------------

@@ -20,6 +20,15 @@ values (``L L^T z = D y - ridge z`` gives ``K c = y - ridge z / sqrt(w)``),
 so the plug-in covariance in :mod:`ksib.np_inference` studentizes through
 the same Woodbury form without factoring anything again.
 
+The factor stops growing once its residual trace is at most the larger of
+an exact-arithmetic tolerance, which keeps predictions and leverages within
+``PREDICTION_TOL`` of the dense solve's, and the round-off floor ``n eps
+max_s w_s k(u_s, u_s)`` below which the computed residual is noise (the
+default tolerance of LAPACK's ``dpstrf``).  Each model carries ``bound``:
+the computed trace plus a round-off term in r, n, eps and the largest
+weight, scaled by the ridge, which bounds how far its predictions and
+leverages lie from the exact dense solve's in floating point.
+
 A fit may be warm-started with ``pivots``, support indices to try first: the
 policy passes the pivots of the arm's previous fit, since a support that has
 gained a few rows needs nearly the same pivots.  Their columns come from one
@@ -51,8 +60,15 @@ PILOT = 64
 GATHER_BASE = 4096
 GATHER_PER_ROW = 16
 # the low-rank factor's error: |f_exact(v) - f(v)| and the leverages'
-# |(1 - h_s)_exact - (1 - h_s)| stay below this in exact arithmetic
+# |(1 - h_s)_exact - (1 - h_s)| stay below this in exact arithmetic, unless
+# the round-off floor below lifts the stopping tolerance
 PREDICTION_TOL = 1e-10
+# the residual trace is resolved no finer than TRACE_FLOOR * n * eps * the
+# largest diagonal entry w_s k(u_s, u_s), the form of LAPACK's own dpstrf
+# default.  Against the dense solve on policy supports (n = 95..2886), the
+# leverages stay within 1.0e-12 at 1, but reach 2.7e-11 at 4 and 3.4e-10
+# at 64; predictions stay within 1.2e-12 at 1
+TRACE_FLOOR = 1.0
 # largest accepted round-off estimate eps * sum(w) / ridge of the Woodbury
 # solve, which divides a cancelled difference by the ridge; default-schedule
 # fits sit near 1e-11 even at t = 1e4
@@ -212,7 +228,10 @@ class KrrModel:
     ``factor`` is ``L^T`` (r x n), the pivoted-Cholesky factor of ``D K D``;
     ``inner`` is the ``(c, lower)`` Cholesky pair of the r x r matrix
     ``ridge I + L^T L``; ``fitted`` are the in-sample values ``K c``;
-    ``pivots`` are the r support indices the factor pivoted on, in order.
+    ``pivots`` are the r support indices the factor pivoted on, in order;
+    ``bound`` bounds how far the predictions and the leverages ``1 - h_s``
+    may lie from the exact dense solve's, round-off included (see
+    :func:`fit`).
     """
 
     support_u: np.ndarray
@@ -225,6 +244,7 @@ class KrrModel:
     inner: tuple
     fitted: np.ndarray
     pivots: np.ndarray
+    bound: float
 
     @property
     def n_support(self) -> int:
@@ -251,20 +271,37 @@ def fit(support_u, support_y, support_w, ridge: float, kernel: GaussianKernel,
 
     ``A = D K D`` is factored greedily as ``L L^T``: each step pivots on the
     largest entry of the residual diagonal ``diag(A - L L^T)`` (which
-    starts at ``w k(u, u)``) and takes its column from the kernel.  The
-    factor stops growing once the residual trace ``tau`` is at most
-    ``PREDICTION_TOL * ridge * min(1, ridge / (sqrt(sum w) |D y|))``.  The
-    residual is positive semidefinite with norm at most ``tau``, so
-    ``|z - z_exact| <= tau |D y| / ridge^2`` keeps every prediction
-    ``k_v^T D z`` within ``PREDICTION_TOL`` of the exact fit's, and the
-    inverse ``(ridge I + L L^T)^{-1}`` is within ``tau / ridge^2`` of the
-    exact one, which bounds the error of the leverages ``1 - h_s`` by
-    ``PREDICTION_TOL``.  Those bounds are for exact arithmetic; the factor's
-    own round-off, of order machine epsilon times ``r sum(w)``, comes on
-    top.  At r = n the factor is exact.  The r x r system is factored by
-    LAPACK's ``dpotrf`` and solved by ``dpotrs``, the routines
-    ``cho_factor``/``cho_solve`` wrap, called directly to save their
-    per-call cost; a failed factorization raises ``LinAlgError``.
+    starts at ``w k(u, u)``) and takes its column from the kernel.  With
+    ``s = sqrt(sum w) |D y|``, the factor stops growing once the residual
+    trace ``tau`` is at most
+
+        tol = max(PREDICTION_TOL * ridge^2 / max(s, ridge),
+                  TRACE_FLOOR * n * eps * max_s A_ss).
+
+    The second term is the round-off floor: each computed residual entry
+    carries an error of order ``eps`` times the diagonal, so a trace below
+    ``n eps max A_ss`` is noise, and pivoting on it only adds columns.
+
+    ``KrrModel.bound`` certifies the result.  For any symmetric ``E = A -
+    L L^T``, ``|z - z_exact| <= |E| |D y| / ridge^2`` keeps every
+    prediction ``k_v^T D z`` within ``|E| s / ridge^2`` of the exact fit's,
+    and the inverse ``(ridge I + L L^T)^{-1}`` is within ``|E| / ridge^2``
+    of the exact one, which keeps the leverages ``1 - h_s`` within
+    ``|E| / ridge``.  So
+
+        bound = (tau + 4 (r + 1) n eps max_s A_ss) * max(s, ridge) / ridge^2
+
+    bounds both.  ``tau`` is the computed trace at the stop, the
+    exact-arithmetic part: ``E`` is then semidefinite with norm at most
+    ``tau``, and that part is at most ``PREDICTION_TOL`` unless the floor
+    lifted the tolerance.  The second term is the round-off of the computed
+    factor: the backward error of a partial Cholesky factorization
+    (Higham 1990), ``2 (r + 1) n eps max A_ss`` to first order, doubled for
+    the kernel entries' rounding and the Woodbury solve.  At r = n, ``tau``
+    is 0.  The r x r system is factored by LAPACK's ``dpotrf`` and solved by
+    ``dpotrs``, the routines ``cho_factor``/``cho_solve`` wrap, called
+    directly to save their per-call cost; a failed factorization raises
+    ``LinAlgError``.
 
     ``pivots`` warm-starts the factor with support indices to try first
     (repeats are ignored).  One kernel block ``D_P K[P, :] D`` serves the
@@ -276,7 +313,7 @@ def fit(support_u, support_y, support_w, ridge: float, kernel: GaussianKernel,
     ``HINT_GROWTH``; without the cut, a hint such as two close points among
     heavier ones would leave a panel whose round-off hides the residual.
     The greedy loop then continues from the residual diagonal until the
-    same stopping rule holds, so the bounds above hold for any hint.  An
+    same stopping rule holds, so the bound above holds for any hint.  An
     empty hint is the cold start, bit for bit.  Only the policy passes one;
     inference snapshots stay cold, so they depend on the log alone.
 
@@ -305,8 +342,11 @@ def fit(support_u, support_y, support_w, ridge: float, kernel: GaussianKernel,
     sqrt_w = np.sqrt(w)
     rhs = sqrt_w * y
     scale = math.sqrt(w_sum) * math.sqrt(rhs.dot(rhs))   # |D y| as np.linalg.norm
-    tol = PREDICTION_TOL * ridge * ridge / max(scale, ridge)
     resid = w * kernel.diag(u)
+    diag_max = float(resid.max())
+    # the exact-arithmetic tolerance, floored at the residual's round-off
+    tol = max(PREDICTION_TOL * ridge * ridge / max(scale, ridge),
+              TRACE_FLOOR * n * EPS * diag_max)
     hint = np.unique(np.asarray(pivots, dtype=np.intp))
     if hint.size and not (0 <= hint[0] and hint[-1] < n):
         raise DomainError(f"pivots must index the support of size {n}")
@@ -333,7 +373,8 @@ def fit(support_u, support_y, support_w, ridge: float, kernel: GaussianKernel,
         resid -= np.einsum("ij,ij->j", lt[:rank], lt[:rank])
         np.maximum(resid, 0.0, out=resid)
         resid[order[:rank]] = 0.0
-    while rank < n and resid.sum() > tol:
+    trace = resid.sum()
+    while rank < n and trace > tol:
         if rank == lt.shape[0]:
             lt = np.concatenate([lt, np.empty((min(n, 2 * rank) - rank, n))])
         i = int(np.argmax(resid))
@@ -347,6 +388,7 @@ def fit(support_u, support_y, support_w, ridge: float, kernel: GaussianKernel,
         np.maximum(resid, 0.0, out=resid)
         resid[i] = 0.0
         rank += 1
+        trace = resid.sum()
     lt = lt[:rank]
     inner = lt @ lt.T
     inner.flat[::rank + 1] += ridge
@@ -355,5 +397,11 @@ def fit(support_u, support_y, support_w, ridge: float, kernel: GaussianKernel,
         raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
     coef = dpotrs(c, lt @ rhs, lower=1)[0] if rank else np.empty(0)
     z = (rhs - lt.T @ coef) / ridge
+    # the computed factor is exact for D K D + dA with |dA_st| <= 2 (r + 1)
+    # eps max_s A_ss to first order (Higham 1990), so |dA| <= 2 (r + 1) n
+    # eps max_s A_ss; the kernel entries' rounding and the Woodbury solve
+    # stay within as much again
+    err = trace + 4 * (rank + 1) * n * EPS * diag_max
     return KrrModel(u, y, w, sqrt_w * z, ridge, kernel, lt, (c, True),
-                    y - ridge * z / sqrt_w, order[:rank].copy())
+                    y - ridge * z / sqrt_w, order[:rank].copy(),
+                    err * max(scale, ridge) / (ridge * ridge))

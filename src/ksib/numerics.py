@@ -64,8 +64,8 @@ def _check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"{name} must be square, got shape {a.shape}")
     if not (a == a.T).all():
-        # tolerate round-off asymmetry but nothing structural
-        if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(a).max())):
+        # tolerate round-off asymmetry but nothing structural; NaN fails both
+        if not np.abs(a - a.T).max() <= 1e-12 * (1.0 + np.abs(a).max()):
             raise DomainError(f"{name} is not symmetric")
         a = 0.5 * (a + a.T)
     return a

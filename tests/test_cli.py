@@ -221,7 +221,9 @@ class TestInferReplay:
         code = main(["infer", "--log", str(sim_out / "rounds_rep0.csv"),
                      "--arm", "0", "--t", "10"])
         assert code != 0
-        assert "inference_times must lie in (T0, T]" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: --t must be after the warm start T0=20 of "
+            f"{sim_out / 'rounds_rep0.json'}, got 10\n")
 
     # such an arm was reported as never pulled
     @pytest.mark.parametrize("arm", ["2", "-1"])

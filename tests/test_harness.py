@@ -289,14 +289,26 @@ class TestExport:
 class TestParallel:
     def test_parallel_equals_serial(self, tmp_path):
         sc = Scenario(**{**TINY, "reps": 3})
-        serial = run_scenario(sc, threads=1)
-        parallel = run_scenario(sc, threads=2)
+        serial = run_scenario(sc, threads=1, logs=3)
+        parallel = run_scenario(sc, threads=2, logs=3)
         for a, b in zip(serial, parallel):
             assert_same_record(a, b)
         out_a, out_b = tmp_path / "s", tmp_path / "p"
         export(aggregate(serial, sc), str(out_a))
         export(aggregate(parallel, sc), str(out_b))
         assert dir_digest(out_a) == dir_digest(out_b)
+
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_keeps_only_the_logs_asked_for(self, threads):
+        """A log costs T (8 d + 40) bytes; a study keeps only those it is
+        asked for, and its workers send no other log back."""
+        sc = Scenario(**{**TINY, "reps": 3})
+        records = run_scenario(sc, threads=threads, logs=1)
+        assert [r.log is not None for r in records] == [True, False, False]
+        log, _, _, _ = run_trajectory(sc, 0)
+        assert_same_record(records[0], dataclasses.replace(records[0], log=log))
+        assert all(r.ok for r in records)
 
 
 class TestRegretTrend:

@@ -11,8 +11,10 @@ from pairwise_median import pairwise_median_bandwidth
 from scipy.linalg import cho_factor, cho_solve
 
 from ksib.errors import DomainError
-from ksib.kernel_ridge import (PAIR_CAP, PREDICTION_TOL, GaussianKernel,
-                               fit, median_bandwidth, ridge_schedule)
+from ksib.kernel_ridge import (PAIR_CAP, PREDICTION_TOL, TRACE_FLOOR,
+                               GaussianKernel, fit, median_bandwidth,
+                               ridge_schedule)
+from ksib.harness import Scenario, inference_snapshot, run_trajectory
 from ksib.np_inference import build_covariance
 
 
@@ -345,10 +347,10 @@ class TestSystemMatrix:
 
 
 @st.composite
-def supports(draw):
+def supports(draw, max_n=60, min_bandwidth=0.05):
     """Supports like the policy's: weights up to 1/p_min, duplicates and
     heavy-tailed projections included."""
-    n = draw(st.integers(1, 60))
+    n = draw(st.integers(1, max_n))
     seed = draw(st.integers(0, 2**32 - 1))
     shape = draw(st.sampled_from(["normal", "duplicates", "heavy"]))
     rng = np.random.default_rng(seed)
@@ -361,7 +363,7 @@ def supports(draw):
                      rng.uniform(1e-3, 1.0, size=n))
     w = 1.0 / np.maximum(props, 1e-3)
     y = np.sin(2.0 * u) + 0.2 * rng.normal(size=n)
-    bandwidth = draw(st.floats(0.05, 2.0))
+    bandwidth = draw(st.floats(min_bandwidth, 2.0))
     return u, y, w, bandwidth
 
 
@@ -425,7 +427,8 @@ class TestFitPivoted:
         # the stopping rule, up to the round-off of the subtraction
         ridge = pivoted.ridge
         scale = np.sqrt(w.sum()) * np.linalg.norm(np.sqrt(w) * y)
-        tol = PREDICTION_TOL * ridge * ridge / max(scale, ridge)
+        tol = max(PREDICTION_TOL * ridge * ridge / max(scale, ridge),
+                  TRACE_FLOOR * u.size * np.finfo(float).eps * w.max())
         eps_slack = 64 * np.finfo(float).eps * w.sum()
         assert residual_trace(pivoted, w, k) <= tol + eps_slack
         assert len(set(pivoted.pivots.tolist())) == pivoted.rank
@@ -516,3 +519,54 @@ class TestFitPivoted:
             with pytest.raises(DomainError, match="pivots"):
                 fit([0.0, 1.0], [1.0, 0.0], [1.0, 1.0], 0.5 * 2,
                     GaussianKernel(1.0), pivots=hint)
+
+
+def dense_errors(model, kernel, grid):
+    """Largest prediction and leverage distance of ``model`` from the dense
+    solve of its own support."""
+    exact = DenseKrr(model.support_u, model.support_y, model.support_w,
+                     model.ridge, kernel)
+    return (np.abs(model.predict(grid) - exact.predict(grid)).max(),
+            np.abs(build_covariance(model).one_minus_h
+                   - exact.one_minus_h()).max())
+
+
+class TestFitBound:
+    """``KrrModel.bound`` holds in floating point: predictions and
+    leverages lie within it of the dense solve's."""
+
+    # up to 400 rows, bandwidths down to 0.01 and weights up to 1/p_min, so
+    # the round-off floor, not the exact-arithmetic tolerance, often stops
+    # the factor; warm starts included
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(supports(max_n=400, min_bandwidth=0.01),
+           st.sampled_from(["none", "support"]), st.floats(0.3, 1.0),
+           st.sampled_from(["empty", "previous", "random"]),
+           st.integers(0, 2**32 - 1))
+    def test_bound_holds(self, support, scale, lam, hint_kind, hint_seed):
+        u, y, w, bandwidth = support
+        k = GaussianKernel(bandwidth)
+        hint = pivot_hint(hint_kind, u, y, w, lam, k, scale, hint_seed)
+        model = fit(u, y, w, ridge_of(lam, scale, u.size), k, pivots=hint)
+        grid = np.concatenate([np.linspace(-4.0, 4.0, 161), u])
+        assert max(dense_errors(model, k, grid)) <= model.bound
+
+    @pytest.mark.parametrize("scenario", [dict(d=2, sigma=0.05),
+                                          dict(d=5, sigma=0.20)])
+    def test_bound_holds_on_policy_supports(self, scenario):
+        """Snapshot supports of an easy and a hard T=4000 trajectory, up to
+        n ~ 2900 rows, where the floor stops the factor early."""
+        sc = Scenario(T=4000, reps=1, seed=4, inference_times=(), **scenario)
+        log, _, _, _ = run_trajectory(sc, 0)
+        sizes = []
+        for t in (300, 1000, 4000):
+            for arm in (0, 1):
+                model = inference_snapshot(log, t, arm, sc).covariance.model
+                grid = np.concatenate([np.linspace(-4.0, 4.0, 161),
+                                       model.support_u])
+                pred, lev = dense_errors(model, model.kernel, grid)
+                assert max(pred, lev) <= model.bound
+                # the dense tolerances of the property tests hold here too
+                assert pred <= 1e-9 and lev <= 1e-10
+                sizes.append(model.n_support)
+        assert max(sizes) > 2500

@@ -213,6 +213,47 @@ class TestFactorSpd:
                                              [1.0, 1.0 + 1e-10]], rtol=0, atol=1e-15)
 
 
+class TestCheckSymmetric:
+    @pytest.mark.parametrize("at", [(0, 0), (1, 3)])
+    def test_nan_refused(self, at):
+        a = np.eye(5)
+        a[at] = np.nan
+        with pytest.raises(DomainError, match="not symmetric"):
+            numerics._check_symmetric(a)
+        with pytest.raises(DomainError, match="not symmetric"):
+            min_eigenvalue(a)
+
+    def test_structural_asymmetry_refused(self):
+        a = np.eye(5)
+        a[0, 4] = 1e-3
+        with pytest.raises(DomainError, match="A is not symmetric"):
+            solve_spd(a, np.ones(5))
+
+    def test_roundoff_asymmetry_symmetrized(self):
+        rng = np.random.default_rng(3)
+        b = rng.normal(size=(5, 5))
+        a = b @ b.T
+        a[1, 2] = np.nextafter(a[1, 2], np.inf)
+        got = numerics._check_symmetric(a)
+        assert np.array_equal(got, 0.5 * (a + a.T))
+        assert np.array_equal(got, got.T)
+
+    def test_accepts_what_allclose_accepted(self):
+        """The tolerance is the former elementwise ``np.allclose`` test's."""
+        rng = np.random.default_rng(4)
+        for scale in 10.0 ** np.arange(-16, -8):
+            for _ in range(20):
+                a = rng.normal(size=(5, 5)) * rng.uniform(0.1, 10.0)
+                a = a + a.T + scale * rng.normal(size=(5, 5))
+                atol = 1e-12 * (1.0 + np.abs(a).max())
+                if np.allclose(a, a.T, rtol=0.0, atol=atol):
+                    assert np.array_equal(numerics._check_symmetric(a),
+                                          0.5 * (a + a.T))
+                else:
+                    with pytest.raises(DomainError):
+                        numerics._check_symmetric(a)
+
+
 class TestMinEigenvalue:
     def test_identity(self):
         assert min_eigenvalue(np.eye(3)) == pytest.approx(1.0, rel=1e-10)

@@ -324,10 +324,15 @@ class TestGoldenDecisions:
         (dict(d=5, sigma=0.20), 1,
          "86a9dcc419c81f05d8b5486d583dc70dbe915ce06a5bddc5dd8662ee57caa1be",
          "bf1c9451e67c6234d16c2ed22643daa58d78866a5d3a3fa357c88d81fb051464",
-         "47.60811437934872")])
+         "47.60811437934872"),
+        # supports past n = 1000, where the fit's round-off floor stops it
+        (dict(d=2, sigma=0.05, T=4000), 0,
+         "0d89e27a7a3afb6d22771033e6cc03457cb815617a3ce12ba28d8ca279c47baa",
+         "a306c5b5beac09036ab196cc66524340006c5d3cca2db7f06d8d8b0365fc9ef1",
+         "40.17240186218047")])
     def test_recorded_trajectory(self, scenario, rep, arm, greedy, total):
         log, _, ledger, _ = run_trajectory(
-            Scenario(T=1000, reps=1, seed=4, **scenario), rep)
+            Scenario(**{"T": 1000, **scenario}, reps=1, seed=4), rep)
         digest = lambda a: hashlib.sha256(a.astype(np.int64).tobytes()).hexdigest()
         assert digest(log.arm) == arm
         assert digest(log.greedy) == greedy
