@@ -67,7 +67,7 @@ PREDICTION_TOL = 1e-10
 # largest diagonal entry w_s k(u_s, u_s), the form of LAPACK's own dpstrf
 # default.  Against the dense solve on policy supports (n = 95..2886), the
 # leverages stay within 1.0e-12 at 1, but reach 2.7e-11 at 4 and 3.4e-10
-# at 64; predictions stay within 1.2e-12 at 1
+# at 64; predictions stay within 8.4e-13 at 1
 TRACE_FLOOR = 1.0
 # largest accepted round-off estimate eps * sum(w) / ridge of the Woodbury
 # solve, which divides a cancelled difference by the ridge; default-schedule

@@ -298,7 +298,6 @@ class TestParallel:
         export(aggregate(parallel, sc), str(out_b))
         assert dir_digest(out_a) == dir_digest(out_b)
 
-
     @pytest.mark.parametrize("threads", [1, 2])
     def test_keeps_only_the_logs_asked_for(self, threads):
         """A log costs T (8 d + 40) bytes; a study keeps only those it is

@@ -11,10 +11,10 @@ from pairwise_median import pairwise_median_bandwidth
 from scipy.linalg import cho_factor, cho_solve
 
 from ksib.errors import DomainError
+from ksib.harness import Scenario, inference_snapshot, run_trajectory
 from ksib.kernel_ridge import (PAIR_CAP, PREDICTION_TOL, TRACE_FLOOR,
                                GaussianKernel, fit, median_bandwidth,
                                ridge_schedule)
-from ksib.harness import Scenario, inference_snapshot, run_trajectory
 from ksib.np_inference import build_covariance
 
 
@@ -521,11 +521,11 @@ class TestFitPivoted:
                     GaussianKernel(1.0), pivots=hint)
 
 
-def dense_errors(model, kernel, grid):
+def dense_errors(model, grid):
     """Largest prediction and leverage distance of ``model`` from the dense
     solve of its own support."""
     exact = DenseKrr(model.support_u, model.support_y, model.support_w,
-                     model.ridge, kernel)
+                     model.ridge, model.kernel)
     return (np.abs(model.predict(grid) - exact.predict(grid)).max(),
             np.abs(build_covariance(model).one_minus_h
                    - exact.one_minus_h()).max())
@@ -549,7 +549,7 @@ class TestFitBound:
         hint = pivot_hint(hint_kind, u, y, w, lam, k, scale, hint_seed)
         model = fit(u, y, w, ridge_of(lam, scale, u.size), k, pivots=hint)
         grid = np.concatenate([np.linspace(-4.0, 4.0, 161), u])
-        assert max(dense_errors(model, k, grid)) <= model.bound
+        assert max(dense_errors(model, grid)) <= model.bound
 
     @pytest.mark.parametrize("scenario", [dict(d=2, sigma=0.05),
                                           dict(d=5, sigma=0.20)])
@@ -564,7 +564,7 @@ class TestFitBound:
                 model = inference_snapshot(log, t, arm, sc).covariance.model
                 grid = np.concatenate([np.linspace(-4.0, 4.0, 161),
                                        model.support_u])
-                pred, lev = dense_errors(model, model.kernel, grid)
+                pred, lev = dense_errors(model, grid)
                 assert max(pred, lev) <= model.bound
                 # the dense tolerances of the property tests hold here too
                 assert pred <= 1e-9 and lev <= 1e-10
