@@ -325,6 +325,11 @@ class TestGoldenDecisions:
          "86a9dcc419c81f05d8b5486d583dc70dbe915ce06a5bddc5dd8662ee57caa1be",
          "bf1c9451e67c6234d16c2ed22643daa58d78866a5d3a3fa357c88d81fb051464",
          "47.60811437934872"),
+        # the streaming whitening, cold round included, feeds the index
+        (dict(d=5, sigma=0.20, score="empirical"), 1,
+         "01733e8d7d91671470a14961eceea9cbd6e1e05cd65d37260c730faf0bc30ca8",
+         "0e4aec022ee8bff6c3e1293246099c503add0dd1ed224671b3775c80e7c37e0c",
+         "47.943727926833766"),
         # supports past n = 1000, where the fit's round-off floor stops it
         (dict(d=2, sigma=0.05, T=4000), 0,
          "0d89e27a7a3afb6d22771033e6cc03457cb815617a3ce12ba28d8ca279c47baa",
