@@ -25,6 +25,6 @@ from .np_inference import (NpCovariance, PointwiseCi, as_band_ci,
                            pointwise_ci)
 from .numerics import Rng, chi2_quantile, min_eigenvalue, normal_quantile, solve_spd
 from .policy import EpsilonGreedyPolicy
-from .score_features import EmpiricalWhiteningScore, KnownGaussianScore
+from .score_features import EmpiricalWhiteningScore
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from .kernel_ridge import (GaussianKernel, fit, median_bandwidth,
                            ridge_schedule)
 from .numerics import Rng, min_eigenvalue, normal_quantile
 from .policy import EpsilonGreedyPolicy, propensity
-from .score_features import EmpiricalWhiteningScore, KnownGaussianScore
+from .score_features import EmpiricalWhiteningScore
 
 SCHEMA_VERSION = 1
 DEFAULT_INFERENCE_TIMES = (200, 314, 428, 542, 657, 771, 885, 999)
@@ -105,8 +105,9 @@ class Scenario:
             raise ConfigError("inference_times must lie in (T0, T]")
         if any(b >= a for a, b in zip(times[1:], times)):
             raise ConfigError("inference_times must be strictly increasing")
-        if not (0 < self.level < 1):
-            raise ConfigError("level must be in (0,1)")
+        for name in ("alpha", "gamma", "level"):   # alpha, gamma: see README
+            if not 0 < getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in (0,1)")
         if self.n_arms != 2:
             # both environments define two arms
             raise ConfigError("n_arms must be 2")
@@ -272,10 +273,11 @@ class ArmSnapshot:
 
 
 def score_features_for(log: TrajectoryLog, t: int, score: str) -> np.ndarray:
-    """Score features of rounds 1..t, re-whitened from scratch at time t."""
+    """Score features of rounds 1..t: the contexts themselves when "known"
+    (standard normal), else re-whitened from scratch at time t."""
     x = log.contexts[:t]
     if score == "known":
-        return KnownGaussianScore.standard(log.dim).score(x)
+        return x
     return EmpiricalWhiteningScore.from_batch(x).score(x)
 
 
@@ -349,11 +351,7 @@ def run_policy(scenario: Scenario, env, rng: Rng):
     """Step a fresh policy through ``scenario.T`` rounds of ``env``, whose
     ``draw_round()`` gives ``(context, per-arm means, noise)``; the pulled arm
     earns its mean plus the noise.  Returns the log and the (T, L) means."""
-    if scenario.score == "known":
-        score = KnownGaussianScore.standard(scenario.d)
-    else:
-        score = EmpiricalWhiteningScore(scenario.d)
-    policy = EpsilonGreedyPolicy(scenario, score, rng)
+    policy = EpsilonGreedyPolicy(scenario, rng)
     log = TrajectoryLog.empty(scenario.T, scenario.d)
     means = np.empty((scenario.T, scenario.n_arms))
     infer_set = set(scenario.inference_times)

@@ -89,19 +89,19 @@ class PointwiseCi:
     clamped: bool = False
 
 
-def build_covariance(model: KrrModel, gamma: float = DEFAULT_GAMMA,
-                     residual_mode: str = "raw") -> NpCovariance:
+def build_covariance(model: KrrModel, gamma: float = DEFAULT_GAMMA, *,
+                     residual_mode: str) -> NpCovariance:
     """Plug-in covariance of the fitted regressor in dual form.
 
     The resolvent in the sandwich is the fit's own, so the covariance
     studentizes exactly the estimator it is built from and reuses its
     factors.  ``scale`` is ``n^(2 gamma - 2)`` with ``n`` the support size.
 
-    ``residual_mode='loo'`` inflates each residual to its leave-one-out
-    value ``r_s / (1 - h_s)`` (``h_s`` the smoother leverage).  With decaying
-    ridge levels the heaviest-weighted support points are nearly
-    interpolated, which zeroes their raw residuals exactly where the fit
-    leans on them; the jackknife form keeps the plug-in consistent there.
+    ``residual_mode`` is "raw" or "loo"; "loo" inflates each residual to its
+    leave-one-out value ``r_s / (1 - h_s)`` (``h_s`` the smoother leverage).
+    With decaying ridge levels the heaviest-weighted support points are
+    nearly interpolated, which zeroes their raw residuals exactly where the
+    fit leans on them; the jackknife form keeps the plug-in consistent there.
     """
     if residual_mode not in ("raw", "loo"):
         raise DomainError(f"unknown residual_mode {residual_mode!r}")

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import StateError
 from .index_estimation import IndexAccumulator, IndexEstimate
 from .kernel_ridge import GaussianKernel, KrrModel, fit, median_bandwidth
+from .score_features import EmpiricalWhiteningScore
 
 
 # the pulled arm's link model is refit after every one of its first
@@ -95,13 +96,15 @@ class EpsilonGreedyPolicy:
     """Single-trajectory decision loop; one instance per run, not shared.
 
     It reads the run's :class:`ksib.harness.Scenario` as given: its ``d``,
-    ``n_arms``, ``T0``, ``p_min`` and ``lambda_beta``, and its ``epsilon``
-    and ``link_ridge`` rules.
+    ``n_arms``, ``T0``, ``p_min``, ``lambda_beta`` and ``score`` (a "known"
+    context is its own score, an "empirical" one is whitened as it streams
+    in), and its ``epsilon`` and ``link_ridge`` rules.
     """
 
-    def __init__(self, scenario, score_model, rng):
+    def __init__(self, scenario, rng):
         self.config = scenario
-        self.score = score_model
+        self.whitening = (EmpiricalWhiteningScore(scenario.d)
+                          if scenario.score == "empirical" else None)
         self.rng = rng
         self.t = 0
         self.arms = [ArmState.empty(scenario.d) for _ in range(scenario.n_arms)]
@@ -160,15 +163,14 @@ class EpsilonGreedyPolicy:
         x = np.asarray(x, dtype=float)
         arm, prop, greedy, eps = self.select(x)
         y = float(reward_fn(arm))
-        if hasattr(self.score, "update"):
-            self.score.update(x)
-        if getattr(self.score, "count", 2) < 2:
-            # empirical whitening is undefined before its second update;
-            # the centered raw context stands in for the one cold round
-            # (inference re-scores the whole history later anyway)
-            w_feat = x - self.score.mean
-        else:
-            w_feat = self.score.score(x)
+        w_feat, whitening = x, self.whitening
+        if whitening is not None:
+            whitening.update(x)
+            # whitening is undefined before its second update; the one cold
+            # round's feature is x - mean, the zero vector (inference
+            # re-scores the whole history later anyway)
+            w_feat = (x - whitening.mean if whitening.count < 2
+                      else whitening.score(x))
         self.t += 1
         pulled = self.arms[arm]
         weight = pulled.acc.observe(w_feat, y, prop, self.config.p_min)

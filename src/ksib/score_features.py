@@ -1,46 +1,17 @@
 """Score-feature maps for index estimation.
 
 A score model turns a raw context ``x`` into the feature ``w = S(x)`` used
-by the moment estimator.  Two variants: a known Gaussian score (exact
-``Sigma^{-1}(x - mu)``, the identity map for standard normal contexts) and
-streaming empirical whitening for data whose distribution is unknown.
+by the moment estimator.  Standard normal contexts are their own score, so
+they need no model; contexts of unknown law are whitened by their running
+mean and covariance.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .errors import DomainError, SingularityError, StateError
-from .numerics import factor_spd, min_eigenvalue, solve_spd
-
-
-class KnownGaussianScore:
-    """Score of a known Gaussian context law: ``w = Sigma^{-1}(x - mu)``."""
-
-    def __init__(self, mean, covariance):
-        self.mean = np.asarray(mean, dtype=float)
-        cov = np.asarray(covariance, dtype=float)
-        if cov.shape != (self.mean.size, self.mean.size):
-            raise DomainError("covariance shape does not match mean")
-        self.covariance = cov
-        # factored once; fails fast on a non-PD covariance
-        self._factor = factor_spd(cov)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-    def score(self, x):
-        centered = np.asarray(x, dtype=float) - self.mean
-        # the LAPACK solve behind cho_solve, without its per-call wrapper
-        c, lower = self._factor
-        return dpotrs(c, centered.T, lower=lower)[0].T
-
-    @classmethod
-    def standard(cls, dim: int) -> "KnownGaussianScore":
-        """Standard normal contexts: the score is the identity map."""
-        return cls(np.zeros(dim), np.eye(dim))
+from .numerics import min_eigenvalue, solve_spd
 
 
 class EmpiricalWhiteningScore:

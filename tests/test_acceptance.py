@@ -294,7 +294,7 @@ class TestCriterion8:
             m = fit(rng.normal(size=n), rng.normal(size=n),
                     rng.uniform(1, 10, size=n),
                     float(rng.uniform(0.05, 1.0)) * n, GaussianKernel(1.0))
-            cov = npi.build_covariance(m, 0.5)
+            cov = npi.build_covariance(m, 0.5, residual_mode="raw")
             for u in rng.normal(size=5):
                 ok_d2 &= cov.d2(float(u)) >= -1e-12
         ok = ok_null and ok_psd and ok_d2 and ok_alpha

@@ -103,6 +103,17 @@ class TestSimulate:
         assert f"error: {field} must be" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_out_of_range_gamma_rejected(self, tmp_path, capsys):
+        """gamma=200 used to end in an OverflowError traceback."""
+        cfg = tmp_path / "gamma.json"
+        cfg.write_text(json.dumps({"T": 300, "T0": 20, "reps": 1,
+                                   "inference_times": [100, 299], "gamma": 200}))
+        code = main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: gamma must be in (0,1)\n"
+        assert not (tmp_path / "x").exists()
+
     def test_empty_inference_grid_rejected(self, tmp_path, capsys,
                                            monkeypatch):
         def no_study(*args, **kwargs):

@@ -73,8 +73,10 @@ class TestScenario:
 
     # the middle six once passed and then failed every replication (no third
     # link; a DomainError from the index solve or the band) or, for
-    # as_kappa, inverted every AS band silently; the last four ran an
-    # exploration or ridge schedule that does not decay
+    # as_kappa, inverted every AS band silently; the next four ran an
+    # exploration or ridge schedule that does not decay; the last four, alpha
+    # and gamma outside (0,1), overflowed a power or gave NaN intervals that
+    # "covered"
     @pytest.mark.parametrize("bad", [{"d": True}, {"reps": 2.0},
                                      {"inference_times": (200, "999")},
                                      {"inference_times": (200, 999.0)},
@@ -82,7 +84,9 @@ class TestScenario:
                                      {"as_c_const": 0.0}, {"as_c_const": -1.0},
                                      {"as_kappa": 0.0}, {"as_kappa": -1.0},
                                      {"eps_coeff": 0.0}, {"eps_coeff": -0.15},
-                                     {"eps_exponent": -0.4}, {"zeta": -0.05}])
+                                     {"eps_exponent": -0.4}, {"zeta": -0.05},
+                                     {"alpha": -200.0}, {"alpha": 1.0},
+                                     {"gamma": 200.0}, {"gamma": 0.0}])
     def test_validation_rejects_bools_floats_and_bad_times(self, bad):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             Scenario(**bad).validate()

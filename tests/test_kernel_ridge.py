@@ -422,8 +422,9 @@ class TestFitPivoted:
         grid = np.concatenate([np.linspace(-4.0, 4.0, 161), u])
         np.testing.assert_allclose(pivoted.predict(grid), exact.predict(grid),
                                    rtol=0, atol=1e-9)
-        np.testing.assert_allclose(build_covariance(pivoted).one_minus_h,
-                                   exact.one_minus_h(), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(
+            build_covariance(pivoted, residual_mode="raw").one_minus_h,
+            exact.one_minus_h(), rtol=0, atol=1e-10)
         # the stopping rule, up to the round-off of the subtraction
         ridge = pivoted.ridge
         scale = np.sqrt(w.sum()) * np.linalg.norm(np.sqrt(w) * y)
@@ -527,7 +528,7 @@ def dense_errors(model, grid):
     exact = DenseKrr(model.support_u, model.support_y, model.support_w,
                      model.ridge, model.kernel)
     return (np.abs(model.predict(grid) - exact.predict(grid)).max(),
-            np.abs(build_covariance(model).one_minus_h
+            np.abs(build_covariance(model, residual_mode="raw").one_minus_h
                    - exact.one_minus_h()).max())
 
 

@@ -36,7 +36,7 @@ class TestBuildCovariance:
         # fit: c = 1/(1+1) so prediction 1/2, residual 1/2, S = 2, v = 1/2,
         # core w^2 r^2 v^2 = 1/16
         m = fit([0.0], [1.0], [1.0], 1.0, GaussianKernel(1.0))
-        cov = build_covariance(m, gamma=0.5)
+        cov = build_covariance(m, gamma=0.5, residual_mode="raw")
         assert cov.d2(0.0) == pytest.approx(1.0 / 16.0)
 
     def test_perfect_fit_zero_core(self):
@@ -45,7 +45,7 @@ class TestBuildCovariance:
         u = np.linspace(-1, 1, 5)
         y = rng.normal(size=5)
         m = fit(u, y, np.ones(5), 1e-10 * 5, GaussianKernel(1.0))
-        cov = build_covariance(m, 0.5)
+        cov = build_covariance(m, 0.5, residual_mode="raw")
         assert cov.d2(0.3) == pytest.approx(0.0, abs=1e-8)
 
     def test_reward_scaling_homogeneity(self):
@@ -56,14 +56,16 @@ class TestBuildCovariance:
         k = GaussianKernel(1.0)
         c = 3.7
         ridge = 0.3 * u.size
-        d2_base = build_covariance(fit(u, y, w, ridge, k), 0.5).d2(0.1)
-        d2_scaled = build_covariance(fit(u, c * y, w, ridge, k), 0.5).d2(0.1)
+        d2_base = build_covariance(fit(u, y, w, ridge, k), 0.5,
+                                   residual_mode="raw").d2(0.1)
+        d2_scaled = build_covariance(fit(u, c * y, w, ridge, k), 0.5,
+                                     residual_mode="raw").d2(0.1)
         assert d2_scaled == pytest.approx(c * c * d2_base, rel=1e-9)
 
     def test_d2_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            cov = build_covariance(fitted_model(rng), 0.5)
+            cov = build_covariance(fitted_model(rng), 0.5, residual_mode="raw")
             for u in rng.normal(size=20):
                 assert cov.d2(float(u)) >= -1e-12
 
@@ -78,7 +80,7 @@ class TestBuildCovariance:
 
     def test_batch_d2_matches_scalar(self):
         rng = np.random.default_rng(4)
-        cov = build_covariance(fitted_model(rng), 0.5)
+        cov = build_covariance(fitted_model(rng), 0.5, residual_mode="raw")
         us = rng.normal(size=6)
         batch = cov.d2(us)
         for i, u in enumerate(us):
@@ -181,21 +183,22 @@ class TestLeverageClipCount:
             expected = int(np.sum(oracle(m).one_minus_h() < 0.05))
             assert cov.n_leverage_clipped == expected
             assert (expected > 0) == expect_some
-            assert build_covariance(m, 0.5).n_leverage_clipped == 0
+            raw = build_covariance(m, 0.5, residual_mode="raw")
+            assert raw.n_leverage_clipped == 0
 
 
 class TestPointwiseCi:
     def test_zero_variance_degenerate_interval(self):
         m = fit([0.0, 1.0], [0.5, 0.5], [1.0, 1.0], 0.2 * 2,
                 GaussianKernel(1.0))
-        cov = build_covariance(m, 0.5)
+        cov = build_covariance(m, 0.5, residual_mode="raw")
         cov._resid[:] = 0.0
         ci = pointwise_ci(cov, 0.5, 0.05)
         assert ci.lo == ci.center == ci.hi
 
     def test_quantile_and_scaling(self):
         m = fit([0.0], [1.0], [1.0], 1.0, GaussianKernel(1.0))
-        cov = build_covariance(m, 0.5)
+        cov = build_covariance(m, 0.5, residual_mode="raw")
         ci = pointwise_ci(cov, 0.0, 0.05)
         d = np.sqrt(cov.d2(0.0))
         z = normal_quantile(0.975)
@@ -204,7 +207,8 @@ class TestPointwiseCi:
         assert ci.lo == pytest.approx(ci.center - ci.half_width)
         # a support of one point makes n^-gamma and the covariance's
         # n^(2 gamma - 2) neutral for any gamma
-        ci2 = pointwise_ci(build_covariance(m, 0.25), 0.0, 0.05)
+        ci2 = pointwise_ci(build_covariance(m, 0.25, residual_mode="raw"),
+                           0.0, 0.05)
         assert ci2.half_width == pytest.approx(ci.half_width)
 
     def test_support_size_scaling(self):
@@ -212,7 +216,7 @@ class TestPointwiseCi:
         own fit: ``z n^-gamma sqrt(d2)``, bit for bit, at n = 4."""
         m = fit([0.0, 0.5, 1.0, 1.5], [1.0, 0.2, 0.7, 0.4], np.ones(4), 1.0,
                 GaussianKernel(1.0))
-        cov = build_covariance(m, 0.5)
+        cov = build_covariance(m, 0.5, residual_mode="raw")
         d2 = cov.d2(0.7)
         assert m.n_support == 4 and d2 > 0.0
         half = pointwise_ci(cov, 0.7, 0.05).half_width
@@ -228,7 +232,7 @@ class TestPointwiseCi:
             truth_fn = lambda z: 0.6 + 0.4 * np.tanh(z)
             y = truth_fn(u) + 0.1 * rng.normal(size=n)
             m = fit(u, y, np.ones(n), 1e-3, GaussianKernel(1.0))
-            cov = build_covariance(m, 0.5)
+            cov = build_covariance(m, 0.5, residual_mode="raw")
             for ustar in rng.normal(size=2):
                 ci = pointwise_ci(cov, float(ustar), 0.05)
                 hits += ci.lo <= truth_fn(ustar) <= ci.hi
@@ -306,7 +310,7 @@ class TestShrinkage:
             from ksib.kernel_ridge import median_bandwidth, ridge_schedule
             m = fit(u, y, np.ones(n), ridge_schedule(n),
                     GaussianKernel(median_bandwidth(u)))
-            cov = build_covariance(m, 0.5)
+            cov = build_covariance(m, 0.5, residual_mode="raw")
             hs = [pointwise_ci(cov, float(v), 0.05).half_width
                   for v in np.linspace(-1.5, 1.5, 13)]
             halves[n] = float(np.mean(hs))

@@ -15,12 +15,11 @@ from ksib.harness import Scenario, run_trajectory
 from ksib.kernel_ridge import ridge_schedule
 from ksib.numerics import Rng
 from ksib.policy import EpsilonGreedyPolicy
-from ksib.score_features import KnownGaussianScore
 
 
 def make_policy(seed=0, n_arms=2, d=2, T0=10, **kw):
     sc = Scenario(n_arms=n_arms, d=d, T0=T0, **kw)
-    return EpsilonGreedyPolicy(sc, KnownGaussianScore.standard(d), Rng(seed))
+    return EpsilonGreedyPolicy(sc, Rng(seed))
 
 
 def run_rounds(policy, env, rounds):
@@ -325,16 +324,16 @@ class TestGoldenDecisions:
          "86a9dcc419c81f05d8b5486d583dc70dbe915ce06a5bddc5dd8662ee57caa1be",
          "bf1c9451e67c6234d16c2ed22643daa58d78866a5d3a3fa357c88d81fb051464",
          "47.60811437934872"),
-        # the streaming whitening, cold round included, feeds the index
-        (dict(d=5, sigma=0.20, score="empirical"), 1,
-         "01733e8d7d91671470a14961eceea9cbd6e1e05cd65d37260c730faf0bc30ca8",
-         "0e4aec022ee8bff6c3e1293246099c503add0dd1ed224671b3775c80e7c37e0c",
-         "47.943727926833766"),
         # supports past n = 1000, where the fit's round-off floor stops it
         (dict(d=2, sigma=0.05, T=4000), 0,
          "0d89e27a7a3afb6d22771033e6cc03457cb815617a3ce12ba28d8ca279c47baa",
          "a306c5b5beac09036ab196cc66524340006c5d3cca2db7f06d8d8b0365fc9ef1",
-         "40.17240186218047")])
+         "40.17240186218047"),
+        # the streaming whitening, cold round included, feeds the index
+        (dict(d=5, sigma=0.20, score="empirical"), 1,
+         "01733e8d7d91671470a14961eceea9cbd6e1e05cd65d37260c730faf0bc30ca8",
+         "0e4aec022ee8bff6c3e1293246099c503add0dd1ed224671b3775c80e7c37e0c",
+         "47.943727926833766")])
     def test_recorded_trajectory(self, scenario, rep, arm, greedy, total):
         log, _, ledger, _ = run_trajectory(
             Scenario(**{"T": 1000, **scenario}, reps=1, seed=4), rep)

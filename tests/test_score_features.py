@@ -1,72 +1,19 @@
-"""Score feature maps: known Gaussian scores and streaming whitening."""
+"""Score features: standard normal contexts as their own score, and
+streaming whitening."""
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
 
 from ksib.errors import DomainError, SingularityError, StateError
-from ksib.numerics import solve_spd
-from ksib.score_features import EmpiricalWhiteningScore, KnownGaussianScore
+from ksib.harness import TrajectoryLog, score_features_for
+from ksib.score_features import EmpiricalWhiteningScore
 
 
-class TestKnownGaussian:
-    def test_standard_is_identity(self):
-        model = KnownGaussianScore.standard(2)
-        np.testing.assert_allclose(model.score(np.array([1.0, -2.0])),
-                                   [1.0, -2.0], atol=1e-14)
-
-    def test_centered_point_maps_to_zero(self):
-        model = KnownGaussianScore(np.array([1.0, 1.0]), np.eye(2))
-        np.testing.assert_allclose(model.score(np.array([1.0, 1.0])),
-                                   [0.0, 0.0], atol=1e-14)
-
-    def test_diagonal_inverse(self):
-        model = KnownGaussianScore(np.zeros(2), np.diag([4.0, 1.0]))
-        np.testing.assert_allclose(model.score(np.array([2.0, 3.0])),
-                                   [0.5, 3.0], atol=1e-12)
-
-    def test_affine_equivariance(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            d = int(rng.integers(2, 5))
-            a = rng.normal(size=(d, d)) + 2 * np.eye(d)
-            c = rng.normal(size=d)
-            base = KnownGaussianScore(np.zeros(d), np.eye(d))
-            transformed = KnownGaussianScore(c, a @ a.T)
-            x = rng.normal(size=d)
-            lhs = transformed.score(a @ x + c)
-            rhs = np.linalg.solve(a.T, base.score(x))
-            np.testing.assert_allclose(lhs, rhs, atol=1e-9)
-
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(1)
-        model = KnownGaussianScore(rng.normal(size=3),
-                                   np.eye(3) + 0.2 * np.ones((3, 3)))
-        xs = rng.normal(size=(5, 3))
-        batch = model.score(xs)
-        for i in range(5):
-            np.testing.assert_allclose(batch[i], model.score(xs[i]), atol=1e-12)
-
-    def test_factored_once_bit_identical_to_solve_spd(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(4, 4))
-        mean, cov = rng.normal(size=4), a @ a.T + 0.5 * np.eye(4)
-        model = KnownGaussianScore(mean, cov)
-        for x in (rng.normal(size=4), rng.normal(size=(7, 4))):
-            assert np.array_equal(model.score(x), solve_spd(cov, (x - mean).T).T)
-
-    def test_bit_identical_to_cho_solve(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(3, 3))
-        mean, cov = rng.normal(size=3), a @ a.T + 0.5 * np.eye(3)
-        model = KnownGaussianScore(mean, cov)
-        for x in (rng.normal(size=3), rng.normal(size=(6, 3))):
-            old = cho_solve(model._factor, (x - mean).T, check_finite=False).T
-            assert np.array_equal(model.score(x), old)
-
-    def test_rejects_non_pd_covariance(self):
-        with pytest.raises(SingularityError):
-            KnownGaussianScore(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+def test_known_score_is_the_context():
+    log = TrajectoryLog.empty(40, 3)
+    log.contexts[:] = np.random.default_rng(0).normal(size=(40, 3))
+    feats = score_features_for(log, 25, "known")
+    assert np.array_equal(feats, log.contexts[:25])
 
 
 class TestEmpiricalWhitening:
