@@ -140,7 +140,7 @@ def cmd_realdata(args) -> int:
                              "best_fixed_arm_accuracy": base,
                              "avg_regret_proxy": regret_proxy})
         for t in times:
-            for a in range(2):
+            for a in range(scenario.n_arms):
                 try:
                     snap = inference_snapshot(log, t, a, scenario)
                 except KsibError:

@@ -80,23 +80,25 @@ class SyntheticEnv:
 
 
 class RegretLedger:
-    """Cumulative gap between the best arm's mean and the pulled arm's mean."""
+    """Cumulative gap between the best arm's mean and the pulled arm's mean,
+    from the (T, L) true means and the T pulled arms."""
 
-    def __init__(self):
-        self.total = 0.0
-        self.path = []
-
-    def update(self, pulled_mean: float, all_means) -> None:
-        gap = float(np.max(all_means)) - float(pulled_mean)
-        self.total += gap
-        self.path.append(self.total)
+    def __init__(self, means, pulled):
+        means, pulled = np.asarray(means, dtype=float), np.asarray(pulled)
+        if means.ndim != 2 or pulled.shape != means.shape[:1]:
+            raise DomainError(f"need one pulled arm per row of the means, got "
+                              f"{pulled.shape} arms for means {means.shape}")
+        rounds = np.arange(pulled.size)
+        # accumulate adds in round order, as a running sum does
+        self.path = np.add.accumulate(means.max(axis=1) - means[rounds, pulled])
+        self.total = float(self.path[-1]) if self.path.size else 0.0
 
     def average(self, t: int | None = None) -> float:
-        if not self.path:
+        if not self.path.size:
             return 0.0
         if t is None:
-            t = len(self.path)
-        return self.path[t - 1] / t
+            t = self.path.size
+        return float(self.path[t - 1]) / t
 
 
 @dataclass

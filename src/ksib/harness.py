@@ -24,8 +24,9 @@ import numpy as np
 from . import index_inference, np_inference
 from .environment import RegretLedger, SyntheticEnv, sample_canonical_betas
 from .errors import ConfigError, DegeneracyError, DomainError, KsibError
-from .index_estimation import estimate_from_arrays, ipw_weights
-from .kernel_ridge import (GaussianKernel, fit, median_bandwidth,
+from .index_estimation import (DEFAULT_LAMBDA_BETA, DEFAULT_P_MIN,
+                               estimate_from_arrays, ipw_weights)
+from .kernel_ridge import (DEFAULT_ZETA, GaussianKernel, fit, median_bandwidth,
                            ridge_schedule)
 from .numerics import Rng, min_eigenvalue, normal_quantile
 from .policy import EpsilonGreedyPolicy, propensity
@@ -63,12 +64,12 @@ class Scenario:
     reps: int = 100
     inference_times: tuple = DEFAULT_INFERENCE_TIMES
     alpha: float = 0.5
-    gamma: float = 0.5
-    zeta: float = 0.05
-    lambda_beta: float = 2e-3
+    gamma: float = np_inference.DEFAULT_GAMMA
+    zeta: float = DEFAULT_ZETA
+    lambda_beta: float = DEFAULT_LAMBDA_BETA
     level: float = 0.95
     seed: int = 0
-    p_min: float = 1e-3
+    p_min: float = DEFAULT_P_MIN
     eps_floor: float = 0.005
     eps_cap: float = 0.35
     eps_coeff: float = 0.15
@@ -77,7 +78,7 @@ class Scenario:
     score: str = "known"          # "known" | "empirical"
     krr_ridge_mode: str = "plain"  # "plain" | "support-scaled"
     ridge_time: str = "rounds"     # "rounds" | "pulls"
-    as_theta: float = 0.2
+    as_theta: float = np_inference.DEFAULT_THETA
     as_kappa: float = 1.0
     as_c_const: float = 1.0
     np_residual_mode: str = "loo"  # "loo" | "raw"
@@ -375,10 +376,7 @@ def run_trajectory(scenario: Scenario, rep: int):
     rep_rng = Rng(scenario.seed).split(rep)
     env = SyntheticEnv(scenario.scenario_betas(), scenario.sigma, rep_rng.split(1))
     log, means = run_policy(scenario, env, rep_rng.split(2))
-    ledger = RegretLedger()
-    for mu, pulled in zip(means, log.arm):
-        ledger.update(mu[pulled], mu)
-    return log, means, ledger, env
+    return log, means, RegretLedger(means, log.arm), env
 
 
 def run_replication(scenario: Scenario, rep: int,
@@ -405,11 +403,11 @@ def run_replication(scenario: Scenario, rep: int,
             if t < log.rounds:
                 x_next = log.contexts[t]   # round t+1 (0-based row t)
                 for snap in snaps:
-                    # the interval's estimand: the arm's true link at the
-                    # same projection the regressor is evaluated at
-                    u_eval = float(x_next @ snap.direction)
-                    truth_val = float(env.links[snap.arm](u_eval))
-                    for ci in np_cis_at(snap, x_next, scenario):
+                    cis = np_cis_at(snap, x_next, scenario)
+                    # the estimand is the true link at the estimated
+                    # projection u, where the regressor is evaluated
+                    truth_val = float(env.links[snap.arm](cis[0].u))
+                    for ci in cis:
                         record.clamped += int(ci.clamped)
                         record.pointwise_rows.append({
                             "rep": rep, "arm": snap.arm, "t": t,

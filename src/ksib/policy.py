@@ -47,17 +47,13 @@ class RoundRecord:
     epsilon: float
 
 
-# rows an arm's support buffers hold before their first doubling
-SUPPORT_CAPACITY = 64
-
-
 @dataclass
 class ArmState:
     """Per-arm accumulators plus decision-time regression snapshots.
 
     The arm's support is rows ``[:n]`` of ``xs`` (contexts), ``ys``
     (rewards) and ``ws`` (the IPW weights ``acc.observe`` applied, stored
-    as each row arrives); the buffers double when full.
+    as each row arrives); the buffers hold one row per round, T in all.
     """
 
     acc: IndexAccumulator
@@ -71,25 +67,16 @@ class ArmState:
     bandwidth_n: int = 0
 
     @classmethod
-    def empty(cls, dim: int) -> "ArmState":
-        return cls(IndexAccumulator(dim), np.empty((SUPPORT_CAPACITY, dim)),
-                   np.empty(SUPPORT_CAPACITY), np.empty(SUPPORT_CAPACITY))
+    def empty(cls, dim: int, rounds: int) -> "ArmState":
+        return cls(IndexAccumulator(dim), np.empty((rounds, dim)),
+                   np.empty(rounds), np.empty(rounds))
 
     def append(self, x, y: float, w: float) -> None:
         n = self.n
-        if n == self.ys.size:
-            self.xs, self.ys, self.ws = (_grown(a, 2 * n)
-                                         for a in (self.xs, self.ys, self.ws))
         self.xs[n] = x
         self.ys[n] = y
         self.ws[n] = w
         self.n = n + 1
-
-
-def _grown(a: np.ndarray, rows: int) -> np.ndarray:
-    out = np.empty((rows,) + a.shape[1:])
-    out[:a.shape[0]] = a
-    return out
 
 
 class EpsilonGreedyPolicy:
@@ -107,7 +94,8 @@ class EpsilonGreedyPolicy:
                           if scenario.score == "empirical" else None)
         self.rng = rng
         self.t = 0
-        self.arms = [ArmState.empty(scenario.d) for _ in range(scenario.n_arms)]
+        self.arms = [ArmState.empty(scenario.d, scenario.T)
+                     for _ in range(scenario.n_arms)]
 
     # -- decision helpers ---------------------------------------------------
 
@@ -160,6 +148,8 @@ class EpsilonGreedyPolicy:
 
     def step(self, x, reward_fn) -> RoundRecord:
         """Advance one round: select, observe the pulled arm's reward, update."""
+        if self.t >= self.config.T:   # refused before the RNG or any state moves
+            raise StateError(f"round {self.t + 1} is past the run's T={self.config.T}")
         x = np.asarray(x, dtype=float)
         arm, prop, greedy, eps = self.select(x)
         y = float(reward_fn(arm))

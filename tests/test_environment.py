@@ -6,6 +6,7 @@ import pytest
 from ksib.environment import (RegretLedger, ReplayEnv, SyntheticEnv,
                               link_pair, load_csv, sample_canonical_betas)
 from ksib.errors import DomainError, LoadError
+from ksib.harness import Scenario, run_trajectory
 from ksib.numerics import Rng
 
 
@@ -62,46 +63,58 @@ class TestSyntheticEnv:
         g = lambda z: 0.5 + 0.1 * np.tanh(z)
         env = SyntheticEnv(np.array([beta, beta]), 0.0, Rng(2),
                            links=(g, g))
-        ledger = RegretLedger()
-        for _ in range(200):
-            x, means, _ = env.draw_round()
-            ledger.update(means[0], means)  # any policy choice
+        means = np.array([env.draw_round()[1] for _ in range(200)])
+        ledger = RegretLedger(means, np.zeros(200, dtype=int))  # any policy choice
         assert ledger.total == 0.0
 
     def test_oracle_policy_zero_regret(self):
         env = SyntheticEnv(sample_canonical_betas(2, 2, Rng(1)), 0.0, Rng(3))
-        ledger = RegretLedger()
-        for _ in range(200):
-            x, means, _ = env.draw_round()
-            ledger.update(means[np.argmax(means)], means)
+        means = np.array([env.draw_round()[1] for _ in range(200)])
+        ledger = RegretLedger(means, np.argmax(means, axis=1))
         assert ledger.total == 0.0
 
 
 class TestRegretLedger:
     def test_pulling_argmax_adds_zero(self):
-        ledger = RegretLedger()
-        ledger.update(0.6, np.array([0.6, 0.4]))
+        ledger = RegretLedger(np.array([[0.6, 0.4]]), [0])
         assert ledger.total == 0.0
 
     def test_gap_accumulates(self):
-        ledger = RegretLedger()
-        ledger.update(0.4, np.array([0.6, 0.4]))
+        ledger = RegretLedger(np.array([[0.6, 0.4]]), [1])
         assert ledger.total == pytest.approx(0.2)
 
     def test_monotone_path(self):
         rng = Rng(5)
-        ledger = RegretLedger()
-        for _ in range(100):
-            means = rng.normal(3)
-            ledger.update(means[0], means)
+        means = np.array([rng.normal(3) for _ in range(100)])
+        ledger = RegretLedger(means, np.zeros(100, dtype=int))
         assert all(b >= a - 1e-15 for a, b in zip(ledger.path, ledger.path[1:]))
 
     def test_average(self):
-        ledger = RegretLedger()
-        for _ in range(4):
-            ledger.update(0.0, np.array([1.0, 0.0]))
+        ledger = RegretLedger(np.tile([1.0, 0.0], (4, 1)), [1] * 4)
         assert ledger.average() == pytest.approx(1.0)
         assert ledger.average(2) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("means, pulled", [
+        (np.zeros((3, 2)), [0, 1]), (np.zeros(3), [0, 1, 0]),
+        (np.zeros((3, 2)), [[0, 1, 0]])])
+    def test_mismatched_shapes_refused(self, means, pulled):
+        with pytest.raises(DomainError, match="one pulled arm per row"):
+            RegretLedger(means, pulled)
+
+    def test_path_is_the_running_sum(self):
+        """On an easy T=1500 trajectory the cumulative sum equals a plain
+        running sum of the gaps bit for bit, and the total is a Python
+        float, whose repr is what regret.csv writes."""
+        log, means, ledger, _ = run_trajectory(
+            Scenario(d=2, sigma=0.05, T=1500, reps=1, seed=0), 0)
+        total, running = 0.0, []
+        for mu, arm in zip(means, log.arm):
+            total += float(np.max(mu)) - float(mu[arm])
+            running.append(total)
+        assert np.array_equal(ledger.path, running)
+        assert type(ledger.total) is float
+        assert repr(ledger.total) == repr(total)
+        assert type(ledger.average(999)) is float
 
 
 def write_csv(path, header, rows):

@@ -1,17 +1,25 @@
-"""The benchmark tracer's layers name functions and methods that exist.
+"""What the benchmark relies on still exists.
 
 ``perfbench/tracer.py`` wraps ksib names listed in its ``LAYERS``; a rename
-in ksib breaks only the traced benchmark run, so this test resolves each
-name the way ``Tracer.patch`` does.  It reads the tracer and changes nothing.
+in ksib breaks only the traced benchmark run, so one test resolves each
+name the way ``Tracer.patch`` does.  ``perfbench/reference.json`` pins the
+exports' file names, CSV columns and JSON keys, which another test checks
+without comparing values (the benchmark compares those at 1e-9).  Both read
+perfbench and change nothing.
 """
 
+import csv
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from ksib import harness
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def load_tracer():
@@ -31,3 +39,39 @@ def test_layer_resolves(layer, modname, attr):
         assert callable(vars(getattr(owner, cls_name)).get(meth)), layer
     else:
         assert callable(getattr(owner, attr, None)), layer
+
+
+def dict_keys(value, path="") -> dict:
+    """Sorted keys of every dict inside ``value``, by its path."""
+    if isinstance(value, dict):
+        out = {path: sorted(value)}
+        for key, item in value.items():
+            out.update(dict_keys(item, f"{path}/{key}"))
+        return out
+    if isinstance(value, list):
+        out = {}
+        for i, item in enumerate(value):
+            out.update(dict_keys(item, f"{path}[{i}]"))
+        return out
+    return {}
+
+
+def test_exports_keep_the_pinned_schema(tmp_path):
+    """The study recorded as study_serial/tiny, rebuilt from its own
+    config, exports the same files, CSV header rows and summary.json keys:
+    a new Scenario field, diagnostics key or column fails the benchmark's
+    correctness check, and fails here first."""
+    with open(PERFBENCH / "reference.json", encoding="utf-8") as fh:
+        ref = json.load(fh)["study_serial/tiny"]
+    config = dict(ref["summary.json"]["config"])
+    config["inference_times"] = tuple(config["inference_times"])
+    scenario = harness.Scenario(**config)
+    harness.export(harness.aggregate(harness.run_scenario(scenario), scenario),
+                   str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(ref)
+    for name in sorted(ref):
+        with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+            if name.endswith(".csv"):
+                assert next(csv.reader(fh)) == ref[name][0], name
+            else:
+                assert dict_keys(json.load(fh)) == dict_keys(ref[name]), name

@@ -274,7 +274,7 @@ class TestWarmStartedRefit:
 class TestSupportBuffers:
     @pytest.mark.parametrize("seed", [21, 22])
     def test_refit_rows_equal_list_history(self, monkeypatch, seed):
-        """Across the buffers' doublings the refit sees exactly the rows a
+        """At every checked pull count the refit sees exactly the rows a
         list-built history gives."""
         fitted = []
 
@@ -308,6 +308,29 @@ class TestSupportBuffers:
                 w, 1.0 / np.maximum(np.asarray(props), policy.config.p_min))
             checked.add(len(xs))
         assert checked == boundaries
+
+
+class TestHorizon:
+    def test_round_past_T_refused_without_side_effects(self):
+        """The buffers hold T rows; round T+1 raises before it draws from
+        the RNG, calls the reward or touches any accumulator."""
+        policy = make_policy(seed=3, T0=10, T=60)
+        env = SyntheticEnv(sample_canonical_betas(2, 2, Rng(5)), 0.05, Rng(4))
+        run_rounds(policy, env, 60)
+        rng_state = pickle.dumps(policy.rng._gen.bit_generator.state)
+        before = [(s.n, s.acc.sum_gram.copy(), s.acc.sum_moment.copy())
+                  for s in policy.arms]
+        x, means, _ = env.draw_round()
+        rewarded = []
+        with pytest.raises(StateError, match="round 61"):
+            policy.step(x, lambda a: rewarded.append(a) or means[a])
+        assert rewarded == []
+        assert pickle.dumps(policy.rng._gen.bit_generator.state) == rng_state
+        assert policy.t == 60
+        for state, (n, gram, moment) in zip(policy.arms, before):
+            assert state.n == n
+            assert np.array_equal(state.acc.sum_gram, gram)
+            assert np.array_equal(state.acc.sum_moment, moment)
 
 
 class TestGoldenDecisions:
