@@ -28,7 +28,7 @@ from .harness import (MARGINAL_COLUMNS, Scenario, TrajectoryLog, aggregate,
                       export, inference_snapshot, np_cis_at, run_policy,
                       run_scenario, write_csv, write_json)
 from .index_inference import marginal_rows
-from .numerics import Rng
+from .numerics import Rng, min_eigenvalue
 
 REALDATA_INFERENCE_TIMES = (200, 300, 400, 500, 600, 700, 800, 900)
 # the Scenario fields simulate takes as flags (realdata has --seed, --T, --T0)
@@ -72,10 +72,7 @@ def _scenario_from_args(args, **fixed) -> Scenario:
 
 def _write_audit(log: TrajectoryLog, path: str, scenario: Scenario) -> None:
     """Write ``log`` to ``path`` and its run's ``--config`` JSON beside it."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TrajectoryLog.header(log.dim))
-        writer.writerows(log.to_rows())
+    write_csv(path, TrajectoryLog.header(log.dim), log.to_rows())
     write_json(os.path.splitext(path)[0] + ".json", dataclasses.asdict(scenario))
 
 
@@ -194,8 +191,8 @@ def cmd_infer(args) -> int:
         "marginal_half_widths": [float(v) for v in report.marginal_half_widths],
         "level": report.level,
         "r_tilde": snap.r_tilde,
-        "gram_lambda_min": float(np.linalg.eigvalsh(
-            snap.estimate.gram)[0]),
+        # the unregularized moment Gram, as summary.json's gram_diagnostic_mean
+        "gram_lambda_min": min_eigenvalue(snap.estimate.moment_gram),
     }
     if x is not None:
         clt, band = np_cis_at(snap, x, scenario)

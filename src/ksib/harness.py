@@ -13,6 +13,7 @@ kernel regression, both covariance estimators) is rebuilt from rounds
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import os
@@ -46,6 +47,9 @@ LOG_TAIL_COLUMNS = ["greedy_arm", "pulled_arm", "propensity", "reward", "epsilon
 # value types accepted per Scenario field annotation
 _FIELD_TYPES = {"int": (int, np.integer), "str": (str,), "tuple": (tuple, list),
                 "float": (int, float, np.integer, np.floating)}
+# Scenario fields with one allowed value
+_SINGLE_VALUED = {"n_arms": 2, "krr_ridge_mode": "plain", "ridge_time": "rounds",
+                  "np_residual_mode": "loo"}
 
 
 def _is_a(value, annotation: str) -> bool:
@@ -74,14 +78,15 @@ class Scenario:
     eps_cap: float = 0.35
     eps_coeff: float = 0.15
     eps_exponent: float = 0.4
-    n_arms: int = 2
+    n_arms: int = 2               # both environments define two arms
     score: str = "known"          # "known" | "empirical"
-    krr_ridge_mode: str = "plain"  # "plain" | "support-scaled"
-    ridge_time: str = "rounds"     # "rounds" | "pulls"
+    # the link fit's one configuration; the export schema lists these fields
+    krr_ridge_mode: str = "plain"
+    ridge_time: str = "rounds"
     as_theta: float = np_inference.DEFAULT_THETA
     as_kappa: float = 1.0
     as_c_const: float = 1.0
-    np_residual_mode: str = "loo"  # "loo" | "raw"
+    np_residual_mode: str = "loo"
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):
@@ -109,9 +114,9 @@ class Scenario:
         for name in ("alpha", "gamma", "level"):   # alpha, gamma: see README
             if not 0 < getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be in (0,1)")
-        if self.n_arms != 2:
-            # both environments define two arms
-            raise ConfigError("n_arms must be 2")
+        for name, only in _SINGLE_VALUED.items():
+            if getattr(self, name) != only:
+                raise ConfigError(f"{name} must be {only!r}")
         if self.lambda_beta < 0:
             raise ConfigError("lambda_beta must be nonnegative")
         if not (0 < self.p_min <= 1):
@@ -126,18 +131,12 @@ class Scenario:
             raise ConfigError("zeta must be nonnegative: the ridge t^-zeta would grow")
         if self.score not in ("known", "empirical"):
             raise ConfigError("score must be 'known' or 'empirical'")
-        if self.krr_ridge_mode not in ("plain", "support-scaled"):
-            raise ConfigError("krr_ridge_mode must be 'plain' or 'support-scaled'")
-        if self.ridge_time not in ("rounds", "pulls"):
-            raise ConfigError("ridge_time must be 'rounds' or 'pulls'")
         if not (0 < self.as_theta < 0.5):
             raise ConfigError("as_theta must be in (0, 1/2)")
         if self.as_kappa <= 0:
             raise ConfigError("as_kappa must be positive")
         if self.as_c_const <= 0:
             raise ConfigError("as_c_const must be positive")
-        if self.np_residual_mode not in ("loo", "raw"):
-            raise ConfigError("np_residual_mode must be 'loo' or 'raw'")
 
     @property
     def scenario_id(self) -> str:
@@ -147,16 +146,6 @@ class Scenario:
         """Exploration rate of round ``t`` after the warm start."""
         return max(self.eps_floor, min(
             self.eps_cap, self.eps_coeff * float(t) ** (-self.eps_exponent)))
-
-    def link_ridge(self, t: int, n_pulls: int) -> float:
-        """Dual-system ridge of a link fit at round ``t`` on an arm's
-        ``n_pulls`` pulls: the schedule ``ridge_schedule`` at ``t``
-        ("rounds") or at ``n_pulls`` ("pulls"), times ``n_pulls`` when
-        ``krr_ridge_mode`` is "support-scaled" (the ``n * lam`` of the
-        1/n-normalized formulation)."""
-        t_sched = t if self.ridge_time == "rounds" else n_pulls
-        lam = ridge_schedule(max(t_sched, 1), self.zeta)
-        return lam if self.krr_ridge_mode == "plain" else lam * n_pulls
 
     def scenario_betas(self) -> np.ndarray:
         """Index vectors shared by every replication of this scenario."""
@@ -312,9 +301,8 @@ def inference_snapshot(log: TrajectoryLog, t: int, arm: int,
     u_sup = log.contexts[:t][pulled] @ direction
     bw = median_bandwidth(u_sup)
     model = fit(u_sup, rewards[pulled], weights,
-                scenario.link_ridge(t, int(pulled.sum())), GaussianKernel(bw))
-    cov = np_inference.build_covariance(model, scenario.gamma,
-                                        residual_mode=scenario.np_residual_mode)
+                ridge_schedule(t, scenario.zeta), GaussianKernel(bw))
+    cov = np_inference.build_covariance(model, scenario.gamma, residual_mode="loo")
     r_tilde = np_inference.exploration_coefficient(
         log.arm_propensities(arm, t, scenario.T0, scenario.n_arms))
     return ArmSnapshot(arm, est, direction, report, cov, r_tilde)
@@ -382,7 +370,8 @@ def run_trajectory(scenario: Scenario, rep: int):
 def run_replication(scenario: Scenario, rep: int,
                     keep_log: bool = True) -> RunRecord:
     """One seeded trajectory plus the full inference grid; the record holds
-    the trajectory's log when ``keep_log`` is set."""
+    the trajectory's log when ``keep_log`` is set.  A ``KsibError`` or
+    ``LinAlgError`` fails the record; any other error names ``rep``."""
     record = RunRecord(rep)
     try:
         log, means, ledger, env = run_trajectory(scenario, rep)
@@ -423,6 +412,8 @@ def run_replication(scenario: Scenario, rep: int,
     except (KsibError, np.linalg.LinAlgError) as exc:
         record.ok = False
         record.error = f"{type(exc).__name__}: {exc}"
+    except Exception as exc:   # a fault of the program: stop, naming the rep
+        raise RuntimeError(f"replication {rep}: {type(exc).__name__}: {exc}") from exc
     return record
 
 
@@ -544,24 +535,20 @@ def aggregate(records: list[RunRecord], scenario: Scenario) -> CoverageTable:
 
 # -- export -----------------------------------------------------------------
 
-def write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def write_csv(path: str, columns: list[str], rows: list) -> None:
+    """Write ``columns`` and then ``rows``, a dict row by ``columns`` and a
+    sequence row as given, each line ending in LF."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] if isinstance(row, dict)
+                         else row for row in rows)
 
 
 def write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def export(table: CoverageTable, outdir: str) -> None:
@@ -573,16 +560,13 @@ def export(table: CoverageTable, outdir: str) -> None:
     if not table.coverage_rows:
         raise DomainError("refusing to export an empty table")
     os.makedirs(outdir, exist_ok=True)
-    write_csv(os.path.join(outdir, "coverage.csv"), COVERAGE_COLUMNS,
-               table.coverage_rows)
-    write_csv(os.path.join(outdir, "lengths.csv"), LENGTH_COLUMNS,
-               table.length_rows)
-    write_csv(os.path.join(outdir, "regret.csv"), REGRET_COLUMNS,
-               table.regret_rows)
-    write_csv(os.path.join(outdir, "marginals.csv"), MARGINAL_COLUMNS,
-               table.marginal_rows)
-    write_csv(os.path.join(outdir, "pointwise.csv"), POINTWISE_COLUMNS,
-               table.pointwise_rows)
+    for name, columns, rows in [
+            ("coverage", COVERAGE_COLUMNS, table.coverage_rows),
+            ("lengths", LENGTH_COLUMNS, table.length_rows),
+            ("regret", REGRET_COLUMNS, table.regret_rows),
+            ("marginals", MARGINAL_COLUMNS, table.marginal_rows),
+            ("pointwise", POINTWISE_COLUMNS, table.pointwise_rows)]:
+        write_csv(os.path.join(outdir, f"{name}.csv"), columns, rows)
     write_json(os.path.join(outdir, "summary.json"), {
         "schema_version": SCHEMA_VERSION,
         "config": dataclasses.asdict(table.scenario),

@@ -265,9 +265,8 @@ def fit(support_u, support_y, support_w, ridge: float, kernel: GaussianKernel,
         pivots=()) -> KrrModel:
     """Fit the weighted dual system through a pivoted Cholesky factor.
 
-    ``ridge`` is the dual system's ridge as it stands; the 1/n-normalized
-    formulation's ``n * lam`` is the caller's product
-    (:meth:`ksib.harness.Scenario.link_ridge`).
+    ``ridge`` is the dual system's ridge as it stands; the bandit passes
+    ``ridge_schedule(t, zeta)`` at round ``t``.
 
     ``A = D K D`` is factored greedily as ``L L^T``: each step pivots on the
     largest entry of the residual diagonal ``diag(A - L L^T)`` (which

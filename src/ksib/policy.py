@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import StateError
 from .index_estimation import IndexAccumulator, IndexEstimate
-from .kernel_ridge import GaussianKernel, KrrModel, fit, median_bandwidth
+from .kernel_ridge import (GaussianKernel, KrrModel, fit, median_bandwidth,
+                           ridge_schedule)
 from .score_features import EmpiricalWhiteningScore
 
 
@@ -85,7 +86,8 @@ class EpsilonGreedyPolicy:
     It reads the run's :class:`ksib.harness.Scenario` as given: its ``d``,
     ``n_arms``, ``T0``, ``p_min``, ``lambda_beta`` and ``score`` (a "known"
     context is its own score, an "empirical" one is whitened as it streams
-    in), and its ``epsilon`` and ``link_ridge`` rules.
+    in), its ``epsilon`` rule and its ``zeta``, the decay of the link fit's
+    ridge ``ridge_schedule(t, zeta)``.
     """
 
     def __init__(self, scenario, rng):
@@ -143,7 +145,7 @@ class EpsilonGreedyPolicy:
         # larger; the certificate does not depend on them
         hint = () if state.model is None else state.model.pivots
         state.model = fit(u, state.ys[:n], state.ws[:n],
-                          self.config.link_ridge(self.t, n),
+                          ridge_schedule(self.t, self.config.zeta),
                           GaussianKernel(state.bandwidth), pivots=hint)
 
     def step(self, x, reward_fn) -> RoundRecord:

@@ -1,6 +1,7 @@
 """Command-line surface: determinism, validation, offline replay."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -114,6 +115,17 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: gamma must be in (0,1)\n"
         assert not (tmp_path / "x").exists()
 
+    def test_other_link_configuration_rejected(self, tmp_path, capsys):
+        """The link fit has one configuration; a config asking for another
+        is refused before anything is written."""
+        cfg = tmp_path / "pulls.json"
+        cfg.write_text(json.dumps({"ridge_time": "pulls"}))
+        code = main(["simulate", "--config", str(cfg), "--reps", "1",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: ridge_time must be 'rounds'\n"
+        assert not (tmp_path / "x").exists()
+
     def test_empty_inference_grid_rejected(self, tmp_path, capsys,
                                            monkeypatch):
         def no_study(*args, **kwargs):
@@ -186,6 +198,19 @@ class TestSimulate:
                      "--out", str(out), "--audit-reps", "1"]) == 0
         assert dir_digest(out) == dir_digest(sim_out)
 
+    def test_every_file_ends_lines_in_lf(self, sim_out, tmp_path):
+        """Exports, audit logs and configs end every line in LF; a log read
+        back from a CRLF copy is the same log."""
+        for path in sim_out.iterdir():
+            assert b"\r" not in path.read_bytes(), path.name
+        crlf = tmp_path / "rounds.csv"
+        lf_bytes = (sim_out / "rounds_rep0.csv").read_bytes()
+        crlf.write_bytes(lf_bytes.replace(b"\n", b"\r\n"))
+        lf, got = read_audit(str(sim_out / "rounds_rep0.csv")), read_audit(str(crlf))
+        for f in dataclasses.fields(lf):
+            a, b = getattr(got, f.name), getattr(lf, f.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+
     def test_summary_echoes_resolved_config(self, sim_out):
         summary = json.loads((sim_out / "summary.json").read_text())
         assert summary["config"]["T"] == 140
@@ -227,6 +252,21 @@ class TestInferReplay:
                     got = out["pointwise"][r["method"]]
                     for k in ("u", "center", "lo", "hi"):
                         assert float(r[k]) == got[k]
+
+    def test_gram_diagnostic_equals_the_run(self, tmp_path, capsys):
+        """At the last grid time, infer's gram_lambda_min is the 1-rep
+        study's gram_diagnostic_mean for each arm."""
+        out = tmp_path / "one"
+        assert main(SIM_ARGS + ["--config", patch_times(tmp_path / "c.json"),
+                                "--reps", "1", "--audit-reps", "1",
+                                "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        for arm in ("0", "1"):
+            capsys.readouterr()
+            assert main(["infer", "--log", str(out / "rounds_rep0.csv"),
+                         "--arm", arm, "--t", "139"]) == 0
+            got = json.loads(capsys.readouterr().out)["gram_lambda_min"]
+            assert got == summary["diagnostics"]["gram_diagnostic_mean"][arm]
 
     def test_t_before_warm_start_errors(self, sim_out, capsys):
         code = main(["infer", "--log", str(sim_out / "rounds_rep0.csv"),

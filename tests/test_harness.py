@@ -8,10 +8,12 @@ import os
 import numpy as np
 import pytest
 
+from ksib import harness
 from ksib.errors import ConfigError, DomainError
 from ksib.harness import (RunRecord, Scenario, TrajectoryLog, aggregate,
                           calibrated_band_ratio, export, inference_snapshot,
-                          run_replication, run_scenario, run_trajectory)
+                          np_cis_at, run_replication, run_scenario,
+                          run_trajectory, write_csv)
 from ksib.numerics import Rng
 
 TINY = dict(T=140, T0=20, reps=4, inference_times=(60, 100, 139),
@@ -76,7 +78,8 @@ class TestScenario:
     # as_kappa, inverted every AS band silently; the next four ran an
     # exploration or ridge schedule that does not decay; the last four, alpha
     # and gamma outside (0,1), overflowed a power or gave NaN intervals that
-    # "covered"
+    # "covered"; the link fit has one configuration, and its three fields
+    # refuse any other value
     @pytest.mark.parametrize("bad", [{"d": True}, {"reps": 2.0},
                                      {"inference_times": (200, "999")},
                                      {"inference_times": (200, 999.0)},
@@ -86,7 +89,10 @@ class TestScenario:
                                      {"eps_coeff": 0.0}, {"eps_coeff": -0.15},
                                      {"eps_exponent": -0.4}, {"zeta": -0.05},
                                      {"alpha": -200.0}, {"alpha": 1.0},
-                                     {"gamma": 200.0}, {"gamma": 0.0}])
+                                     {"gamma": 200.0}, {"gamma": 0.0},
+                                     {"krr_ridge_mode": "support-scaled"},
+                                     {"ridge_time": "pulls"},
+                                     {"np_residual_mode": "raw"}])
     def test_validation_rejects_bools_floats_and_bad_times(self, bad):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             Scenario(**bad).validate()
@@ -280,6 +286,12 @@ class TestExport:
         header = open(out_a / "regret.csv", encoding="utf-8").readline()
         assert header.strip() == "scenario,t,mean_avg_regret,lo,hi,n"
 
+    def test_numpy_scalars_written_as_numbers(self, tmp_path):
+        """A numpy scalar is written as the number, not as its repr."""
+        path = tmp_path / "scalars.csv"
+        write_csv(str(path), ["x", "k"], [{"x": np.float64(0.1), "k": np.int64(3)}])
+        assert path.read_bytes() == b"x,k\n0.1,3\n"
+
     def test_empty_table_no_partial_files(self, tiny_records, tmp_path):
         sc, records = tiny_records
         table = aggregate(records, sc)
@@ -312,6 +324,25 @@ class TestParallel:
         log, _, _, _ = run_trajectory(sc, 0)
         assert_same_record(records[0], dataclasses.replace(records[0], log=log))
         assert all(r.ok for r in records)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_unrecorded_error_names_the_replication(self, threads, monkeypatch):
+        """An error that is no KsibError or LinAlgError stops the study,
+        naming the replication that raised it."""
+        sc = Scenario(**{**TINY, "reps": 3})
+        rep1_contexts = run_trajectory(sc, 1)[0].contexts
+
+        def failing_cis(snapshot, x_next, scenario):
+            if (rep1_contexts == x_next).all(axis=1).any():
+                raise TypeError("bad operand")
+            return np_cis_at(snapshot, x_next, scenario)
+
+        monkeypatch.setattr(harness, "np_cis_at", failing_cis)
+        with pytest.raises(RuntimeError,
+                           match="^replication 1: TypeError: bad operand$") as info:
+            run_scenario(sc, threads=threads)
+        if threads == 1:
+            assert isinstance(info.value.__cause__, TypeError)
 
 
 class TestRegretTrend:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dense_krr import DenseKrr
-from ksib import kernel_ridge
+from ksib import harness, kernel_ridge
 from ksib import policy as policy_module
 from ksib.environment import SyntheticEnv, sample_canonical_betas
 from ksib.errors import ConfigError, StateError
@@ -49,32 +49,29 @@ class TestEpsilonSchedule:
 
 
 class TestLinkRidge:
-    @pytest.mark.parametrize("mode", ["plain", "support-scaled"])
-    @pytest.mark.parametrize("clock", ["rounds", "pulls"])
-    def test_schedule_times_support_size(self, mode, clock):
-        """The schedule at the chosen clock, times the support size only
-        when support-scaled, to the last bit."""
-        sc = Scenario(krr_ridge_mode=mode, ridge_time=clock, zeta=0.07)
-        for t, n in [(0, 3), (1, 1), (51, 26), (999, 719), (10 ** 4, 7219)]:
-            lam = ridge_schedule(max(t if clock == "rounds" else n, 1), 0.07)
-            scale = n if mode == "support-scaled" else 1
-            assert sc.link_ridge(t, n) == lam * scale
-
     def test_refits_use_the_scenario_ridge(self, monkeypatch):
+        """The policy's refits and the snapshot's fit both take the ridge
+        ``ridge_schedule(t, zeta)`` at their round ``t``."""
+        sc = Scenario(T=120, T0=10, zeta=0.07, inference_times=(60, 119))
+        log, _, _, _ = run_trajectory(sc, 0)
         ridges = []
 
         def recording_fit(u, y, w, ridge, *args, **kwargs):
-            ridges.append((policy.t, u.size, ridge))
+            ridges.append((policy.t, ridge))
             return kernel_ridge.fit(u, y, w, ridge, *args, **kwargs)
 
         monkeypatch.setattr(policy_module, "fit", recording_fit)
-        policy = make_policy(seed=4, T0=10, krr_ridge_mode="support-scaled",
-                             ridge_time="pulls")
+        monkeypatch.setattr(harness, "fit", recording_fit)
+        policy = make_policy(seed=4, T0=10, zeta=0.07)
         env = SyntheticEnv(sample_canonical_betas(2, 2, Rng(5)), 0.05, Rng(3))
         run_rounds(policy, env, 60)
         assert len(ridges) > 40
-        for t, n, ridge in ridges:
-            assert ridge == policy.config.link_ridge(t, n)
+        for t, ridge in ridges:
+            assert ridge == ridge_schedule(t, 0.07)
+        for t in sc.inference_times:
+            n = len(ridges)
+            harness.inference_snapshot(log, t, 0, sc)
+            assert [ridge for _, ridge in ridges[n:]] == [ridge_schedule(t, 0.07)]
 
 
 class TestSelectionLaw:

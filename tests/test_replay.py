@@ -17,11 +17,11 @@ from ksib.cli import main
 
 
 def run_cli(argv):
-    """``main(argv)`` with its stderr dropped; returns (code, stdout)."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """``main(argv)``; returns (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def read_rows(path, rep):
@@ -42,9 +42,6 @@ def study_configs(draw):
             "zeta": draw(st.floats(0.0, 0.5)),
             "p_min": draw(st.sampled_from([1e-3, 0.02, 0.2])),
             "lambda_beta": draw(st.sampled_from([0.0, 2e-3, 0.05])),
-            "krr_ridge_mode": draw(st.sampled_from(["plain", "support-scaled"])),
-            "ridge_time": draw(st.sampled_from(["rounds", "pulls"])),
-            "np_residual_mode": draw(st.sampled_from(["loo", "raw"])),
             "level": draw(st.floats(0.5, 0.99))}
 
 
@@ -58,8 +55,8 @@ def realdata_runs(draw):
 def replay_matches(log, marginals, pointwise):
     """Flag-free ``infer`` at every exported (t, arm) equals the rows."""
     for t, arm in sorted({(r["t"], r["arm"]) for r in marginals}):
-        code, out = run_cli(["infer", "--log", log, "--arm", arm, "--t", t])
-        assert code == 0
+        code, out, err = run_cli(["infer", "--log", log, "--arm", arm, "--t", t])
+        assert code == 0, err
         got = json.loads(out)
         for r in marginals:
             if (r["t"], r["arm"]) == (t, arm):
@@ -90,9 +87,11 @@ def test_flag_free_infer_equals_live(run):
             argv = ["realdata", "--csv", os.path.join(tmp, "c.csv"),
                     "--label-col", "label", "--audit"] + run
             log, marginals = "rounds_perm0.csv", "realdata_marginals.csv"
-        code, _ = run_cli(argv + ["--out", out])
-        # a run whose only replication failed exports nothing to compare
-        assume(code == 0)
+        code, _, err = run_cli(argv + ["--out", out])
+        # a study whose only replication failed exports nothing to compare;
+        # any other error fails the example
+        assume(not err.endswith("error: no successful replications to aggregate\n"))
+        assert code == 0, err.splitlines()[-1]
         rows = read_rows(os.path.join(out, marginals), "0")
         pointwise = (read_rows(os.path.join(out, "pointwise.csv"), "0")
                      if isinstance(run, dict) else [])
