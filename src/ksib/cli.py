@@ -46,7 +46,7 @@ def _threads(flag) -> int:
 
 
 def _scenario_from_args(args, **fixed) -> Scenario:
-    """Validated ``Scenario``: --config, then flags, then the command's ``fixed``."""
+    """The ``Scenario`` of --config, then flags, then the command's ``fixed``."""
     fields = {f.name for f in dataclasses.fields(Scenario)}
     values = {}
     if getattr(args, "config", None):
@@ -63,11 +63,7 @@ def _scenario_from_args(args, **fixed) -> Scenario:
         if flag is not None:
             values[name] = flag
     values.update(fixed)
-    if isinstance(values.get("inference_times"), list):
-        values["inference_times"] = tuple(values["inference_times"])
-    scenario = Scenario(**values)
-    scenario.validate()
-    return scenario
+    return Scenario(**values)
 
 
 def _write_audit(log: TrajectoryLog, path: str, scenario: Scenario) -> None:
@@ -159,8 +155,7 @@ def cmd_infer(args) -> int:
     if not os.path.exists(args.config):
         raise ConfigError(f"no config file {args.config} beside the log; "
                           "write the run's --config JSON there")
-    scenario = _scenario_from_args(args, inference_times=(),
-                                   T=max(log.rounds, args.t + 1))
+    scenario = _scenario_from_args(args)
     if not scenario.T0 < args.t:
         raise ConfigError(f"--t must be after the warm start T0={scenario.T0} "
                           f"of {args.config}, got {args.t}")

@@ -3,7 +3,9 @@
 A scenario runs N seeded trajectories of the epsilon-greedy policy on the
 synthetic single-index environment, fires parametric and nonparametric
 inference at a fixed grid of times, and aggregates coverage rates, interval
-lengths, and regret paths into byte-stable CSV/JSON exports.
+lengths, and regret paths into byte-stable CSV/JSON exports.  A ``Scenario``
+is checked when it is built, so every entry point gets a valid one; a study
+also needs every grid time inside T, which ``run_scenario`` checks.
 
 Inference is a pure function of the audit log and its ``Scenario``: at
 each inference time the whole per-arm state (whitening, index estimate,
@@ -59,7 +61,8 @@ def _is_a(value, annotation: str) -> bool:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full experiment configuration; every field has a working default."""
+    """Full experiment configuration; every field has a working default,
+    and construction refuses an invalid value with a ``ConfigError``."""
 
     d: int = 2
     sigma: float = 0.05
@@ -88,7 +91,7 @@ class Scenario:
     as_c_const: float = 1.0
     np_residual_mode: str = "loo"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if not _is_a(value, f.type):
@@ -96,6 +99,8 @@ class Scenario:
                                   f"got {type(value).__name__} {value!r}")
             if f.type == "float" and not np.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            if isinstance(value, np.generic):   # a numpy scalar: its Python number
+                object.__setattr__(self, f.name, value.item())
         if not all(_is_a(t, "int") for t in self.inference_times):
             raise ConfigError("inference_times must hold integers")
         if self.d < 1:
@@ -104,10 +109,14 @@ class Scenario:
             raise ConfigError("sigma must be nonnegative")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
+        if not 0 <= self.seed < 2**64:   # Rng keeps a seed's low 64 bits
+            raise ConfigError(f"seed must be in 0..2**64 - 1, got {self.seed}")
         if not (0 < self.T0 < self.T):
             raise ConfigError("need 0 < T0 < T")
-        times = tuple(self.inference_times)
-        if any(t <= self.T0 or t > self.T for t in times):
+        times = tuple(int(t) for t in self.inference_times)
+        object.__setattr__(self, "inference_times", times)
+        # a time past T marks a refit that never fires; run_scenario refuses it
+        if any(t <= self.T0 for t in times):
             raise ConfigError("inference_times must lie in (T0, T]")
         if any(b >= a for a, b in zip(times[1:], times)):
             raise ConfigError("inference_times must be strictly increasing")
@@ -207,11 +216,11 @@ class TrajectoryLog:
         dim = len(header) - 6
         if not rows:
             raise DomainError("empty audit log")
-        kinds = [float] * dim + [int, int, float, float, float]
+        kinds = [int] + [float] * dim + [int, int, float, float, float]
         try:
             # one pass per column; numpy converts each cell by its float() or int()
-            cols = [np.array(c, dtype=k) for k, c in zip(kinds, list(zip(*rows))[1:])]
-        except ValueError:
+            cols = [np.array(c, dtype=k) for k, c in zip(kinds, zip(*rows))]
+        except (ValueError, OverflowError):
             cols = None
         if cols is None or any(len(row) != len(header) for row in rows):
             for i, row in enumerate(rows):   # name the first bad row; line 1 is the header
@@ -219,27 +228,31 @@ class TrajectoryLog:
                     raise DomainError(f"audit log line {i + 2}: {len(row)} cells, "
                                       f"expected {len(header)}")
                 try:
-                    for kind, cell in zip(kinds, row[1:]):
-                        kind(cell)
-                except ValueError as exc:
+                    for kind, cell in zip(kinds, row):
+                        np.array(cell, dtype=kind)
+                except (ValueError, OverflowError) as exc:
                     raise DomainError(f"audit log line {i + 2}: {exc}") from exc
-        log = cls(np.array(cols[:dim]).reshape(dim, len(rows)).T.copy(), *cols[dim:])
-        # cell (i, j) is line i + 2, column j + 1; after x come the two arms,
-        # propensity, reward and epsilon; a finite bad cell is out of range
+        log = cls(np.array(cols[1:dim + 1]).reshape(dim, len(rows)).T.copy(),
+                  *cols[dim + 1:])
+        # cell (i, j) is line i + 2, column j; after t and x come the two
+        # arms, propensity, reward and epsilon; a finite bad cell is out of
+        # range, and t must count the rounds 1..n in order
         cells = np.array(cols, dtype=float).T
-        arms, p, eps = cells[:, dim:dim + 2], cells[:, dim + 2], cells[:, dim + 4]
+        arms, p, eps = cells[:, dim + 1:dim + 3], cells[:, dim + 3], cells[:, dim + 5]
         bad = ~np.isfinite(cells)
-        bad[:, dim:dim + 2] |= (arms < 0) | (arms >= Scenario.n_arms)
-        bad[:, dim + 2] |= (p <= 0) | (p > 1)
-        bad[:, dim + 4] |= (eps <= 0) | (eps >= 1)
+        bad[:, 0] |= cols[0] != np.arange(1, len(rows) + 1)
+        bad[:, dim + 1:dim + 3] |= (arms < 0) | (arms >= Scenario.n_arms)
+        bad[:, dim + 3] |= (p <= 0) | (p > 1)
+        bad[:, dim + 5] |= (eps <= 0) | (eps >= 1)
         if bad.any():
             i, j = np.argwhere(bad)[0]
             what = "non-finite value" if not np.isfinite(cells[i, j]) else {
-                dim + 2: "propensity outside (0, 1], got",
-                dim + 4: "epsilon outside (0, 1), got"}.get(
+                0: f"expected {i + 1}, got",
+                dim + 3: "propensity outside (0, 1], got",
+                dim + 5: "epsilon outside (0, 1), got"}.get(
                     j, f"arm outside 0..{Scenario.n_arms - 1}, got")
-            raise DomainError(f"audit log line {i + 2}, column {header[j + 1]}: "
-                              f"{what} {rows[i][j + 1]!r}")
+            raise DomainError(f"audit log line {i + 2}, column {header[j]}: "
+                              f"{what} {rows[i][j]!r}")
         return log
 
 
@@ -316,6 +329,10 @@ def np_cis_at(snapshot: ArmSnapshot, x_next: np.ndarray, scenario: Scenario):
     band = np_inference.as_band_ci(snapshot.covariance.model, u, eta,
                                    snapshot.r_tilde, scenario.as_kappa,
                                    scenario.as_c_const, scenario.as_theta)
+    for ci in (clt, band):
+        if not np.isfinite([ci.lo, ci.hi]).all():
+            raise DegeneracyError(f"non-finite {ci.method} interval for arm "
+                                  f"{snapshot.arm} at t={snapshot.estimate.t}")
     return clt, band
 
 
@@ -421,7 +438,8 @@ def run_scenario(scenario: Scenario, threads: int = 1,
                  logs: int = 0) -> list[RunRecord]:
     """Every replication of ``scenario``; only the first ``logs`` records
     keep their trajectory logs, so workers send no other log back."""
-    scenario.validate()
+    if any(t > scenario.T for t in scenario.inference_times):
+        raise ConfigError("inference_times must lie in (T0, T]")
     reps = range(scenario.reps)
     keep = [rep < logs for rep in reps]
     if threads <= 1:

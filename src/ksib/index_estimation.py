@@ -82,7 +82,7 @@ def _solve_normal_equations(sum_gram, sum_moment, t: int,
     gram.flat[::sum_moment.size + 1] += lambda_beta
     beta = solve_spd(gram, sum_moment / t)
     norm = math.sqrt(beta.dot(beta))   # as np.linalg.norm computes it
-    if norm == 0.0:
+    if not 0.0 < norm < math.inf:   # zero, or |beta| past ~1.3e154 overflows
         return IndexEstimate(beta, np.zeros(beta.size), gram, moment_gram,
                              lambda_beta, t, degenerate=True)
     return IndexEstimate(beta, beta / norm, gram, moment_gram, lambda_beta, t)

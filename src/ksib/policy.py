@@ -83,11 +83,12 @@ class ArmState:
 class EpsilonGreedyPolicy:
     """Single-trajectory decision loop; one instance per run, not shared.
 
-    It reads the run's :class:`ksib.harness.Scenario` as given: its ``d``,
-    ``n_arms``, ``T0``, ``p_min``, ``lambda_beta`` and ``score`` (a "known"
-    context is its own score, an "empirical" one is whitened as it streams
-    in), its ``epsilon`` rule and its ``zeta``, the decay of the link fit's
-    ridge ``ridge_schedule(t, zeta)``.
+    It reads the run's :class:`ksib.harness.Scenario`, valid since it was
+    built, as given: its ``d``, ``n_arms``, ``T0``, ``p_min``,
+    ``lambda_beta`` and ``score`` (a "known" context is its own score, an
+    "empirical" one is whitened as it streams in), its ``epsilon`` rule and
+    its ``zeta``, the decay of the link fit's ridge ``ridge_schedule(t,
+    zeta)``.
     """
 
     def __init__(self, scenario, rng):

@@ -63,6 +63,17 @@ class TestSimulate:
         assert code != 0
         assert "sigma" in capsys.readouterr().err
 
+    # Rng keeps a seed's low 64 bits: 2**64 ran seed 0's study while
+    # summary.json recorded the larger seed, and -1 ran seed 2**64 - 1's
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
+    def test_seed_outside_64_bits_rejected(self, tmp_path, capsys, seed):
+        code = main(["simulate", "--seed", seed, "--reps", "1",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: seed must be in 0..2**64 - 1, got {seed}\n")
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"sigma": 0.05, "sigmma": 0.1}))
@@ -376,12 +387,14 @@ class TestInferReplay:
         err = capsys.readouterr().err
         assert err.startswith("error: audit log line 3: 4 cells, expected 7")
 
-    # the arm columns hold integers, so '1.5' and '1.0' are refused there;
-    # a blank line is a row of 0 cells
+    # the arm columns hold integers, so '1.5' and '1.0' are refused there,
+    # and one past 64 bits ended in an OverflowError traceback; a blank
+    # line is a row of 0 cells
     @pytest.mark.parametrize("row, message", [
         ("2,0.1,0,1.5,0.5,0.0,0.5", "line 3: invalid literal for int() with base 10: '1.5'"),
         ("2,0.1,1.0,1,0.5,0.0,0.5", "line 3: invalid literal for int() with base 10: '1.0'"),
-        ("\n2,0.1,0,1,0.5,0.0,0.5", "line 3: 0 cells, expected 7")])
+        ("\n2,0.1,0,1,0.5,0.0,0.5", "line 3: 0 cells, expected 7"),
+        ("2,0.1,0," + "9" * 20 + ",0.5,0.0,0.5", "line 3: Python int too large")])
     def test_non_integer_arm_and_blank_line_refused(self, tmp_path, capsys,
                                                     row, message):
         bad = tmp_path / "bad.csv"
@@ -471,6 +484,25 @@ class TestInferReplay:
         err = capsys.readouterr().err
         assert err.startswith(f"error: audit log line {lines[0] + 1}, "
                               "column pulled_arm: arm outside 0..1, got '7'")
+
+    # rows were replayed in file order: with rounds 30-39 deleted, or
+    # rounds 60-120 reversed, infer ran and its r_tilde or direction moved
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows[:30] + rows[40:],
+         "line 31, column t: expected 30, got '40'"),
+        (lambda rows: rows[:60] + rows[60:121][::-1] + rows[121:],
+         "line 61, column t: expected 60, got '120'")], ids=["gap", "reordered"])
+    def test_rounds_out_of_order_refused(self, sim_out, tmp_path, capsys,
+                                         edit, message):
+        with open(sim_out / "rounds_rep0.csv", newline="",
+                  encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        bad = tmp_path / "rounds.csv"
+        with open(bad, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(edit(rows))
+        assert main(["infer", "--log", str(bad), "--arm", "0",
+                     "--t", "100"]) == 1
+        assert capsys.readouterr().err == f"error: audit log {message}\n"
 
     def test_columnwise_parse_equals_row_by_row(self, sim_out, tmp_path):
         """The log is parsed a column at a time by the float() and int() of

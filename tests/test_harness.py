@@ -41,27 +41,27 @@ def tiny_records():
 class TestScenario:
     def test_validation_messages(self):
         with pytest.raises(ConfigError):
-            Scenario(sigma=-1.0).validate()
+            Scenario(sigma=-1.0)
         with pytest.raises(ConfigError):
-            Scenario(inference_times=(10, 999)).validate()
+            Scenario(inference_times=(10, 999))
         with pytest.raises(ConfigError):
-            Scenario(inference_times=(999, 200)).validate()
+            Scenario(inference_times=(999, 200))
         with pytest.raises(ConfigError):
-            Scenario(score="bogus").validate()
+            Scenario(score="bogus")
 
     @pytest.mark.parametrize("floor,cap", [(0.4, 0.35), (0.0, 0.35), (0.005, 1.0)])
     def test_validation_rejects_bad_epsilon(self, floor, cap):
         with pytest.raises(ConfigError, match="eps_floor"):
-            Scenario(eps_floor=floor, eps_cap=cap).validate()
+            Scenario(eps_floor=floor, eps_cap=cap)
 
     def test_validation_rejects_single_arm(self):
         with pytest.raises(ConfigError, match="n_arms"):
-            Scenario(n_arms=1).validate()
+            Scenario(n_arms=1)
 
     @pytest.mark.parametrize("p_min", [0.0, -0.1, 1.5])
     def test_validation_rejects_bad_p_min(self, p_min):
         with pytest.raises(ConfigError, match="p_min"):
-            Scenario(p_min=p_min).validate()
+            Scenario(p_min=p_min)
 
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Scenario)])
     def test_validation_rejects_wrong_type(self, field):
@@ -71,7 +71,7 @@ class TestScenario:
             bad += [float("nan"), float("inf"), -float("inf")]
         for value in bad:
             with pytest.raises(ConfigError, match=field):
-                Scenario(**{field: value}).validate()
+                Scenario(**{field: value})
 
     # the middle six once passed and then failed every replication (no third
     # link; a DomainError from the index solve or the band) or, for
@@ -95,11 +95,54 @@ class TestScenario:
                                      {"np_residual_mode": "raw"}])
     def test_validation_rejects_bools_floats_and_bad_times(self, bad):
         with pytest.raises(ConfigError, match=next(iter(bad))):
-            Scenario(**bad).validate()
+            Scenario(**bad)
 
     def test_validation_accepts_numpy_scalars_and_int_floats(self):
         Scenario(d=np.int64(3), sigma=0, zeta=np.float64(0.05), lambda_beta=0,
-                 inference_times=[200, np.int64(999)]).validate()
+                 inference_times=[200, np.int64(999)])
+
+    # no Scenario that breaks the design exists, built or replaced: three
+    # arms failed each trajectory in the environment, T0=0 ran without a
+    # warm start, and Rng keeps a seed's low 64 bits, so 2**64 ran seed 0
+    @pytest.mark.parametrize("bad", [{"n_arms": 3}, {"T0": 0},
+                                     {"seed": 2**64}, {"seed": -1}])
+    def test_construction_refuses_a_broken_design(self, bad):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            Scenario(**bad)
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            dataclasses.replace(Scenario(**TINY), **bad)
+
+    def test_seed_range_ends_accepted(self):
+        assert [Scenario(seed=s).seed for s in (0, 2**64 - 1)] == [0, 2**64 - 1]
+
+    def test_grid_stored_as_tuple(self):
+        sc = Scenario(inference_times=[200, 999])
+        assert sc.inference_times == (200, 999)
+        assert sc == Scenario(inference_times=(200, 999))
+
+    def test_numpy_scalars_stored_as_python_numbers(self):
+        """A numpy integer made the config unwritable as JSON, and with a
+        large sigma overflowed the index vectors' seed tag."""
+        sc = Scenario(d=np.int64(3), sigma=np.float64(1e150), seed=np.uint64(7),
+                      inference_times=[200, np.int64(999)])
+        assert json.loads(json.dumps(dataclasses.asdict(sc))) == {
+            **json.loads(json.dumps(dataclasses.asdict(Scenario()))),
+            "d": 3, "sigma": 1e150, "seed": 7, "inference_times": [200, 999]}
+        assert sc.scenario_betas().shape == (2, 3)
+
+    def test_grid_past_T_refused_by_the_study(self, monkeypatch):
+        """A time past T marks a refit that never fires, so such a
+        Scenario exists; a study snapshots at every time and refuses it
+        before any replication runs."""
+        def no_replication(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(harness, "run_replication", no_replication)
+        sc = Scenario(T=200)
+        assert sc.inference_times == harness.DEFAULT_INFERENCE_TIMES
+        with pytest.raises(ConfigError,
+                           match=r"^inference_times must lie in \(T0, T\]$"):
+            run_scenario(sc)
 
     def test_scenario_betas_shared_across_reps(self):
         sc = Scenario(**TINY)
@@ -187,10 +230,27 @@ class TestRunReplication:
         log, _, _, _ = run_trajectory(sc, 1)
         assert_same_record(records[1], dataclasses.replace(records[1], log=log))
 
-    def test_failed_trajectory_leaves_no_log(self):
-        """An invalid scenario fails inside the trajectory itself."""
-        rec = run_replication(Scenario(**{**TINY, "n_arms": 3}), 0)
+    def test_failed_trajectory_leaves_no_log(self, monkeypatch):
+        """A trajectory that raises a package error fails its record."""
+        def failing_policy(*args):
+            raise DomainError("one link per arm required")
+
+        monkeypatch.setattr(harness, "run_policy", failing_policy)
+        rec = run_replication(Scenario(**TINY), 0)
         assert not rec.ok and rec.log is None
+
+    # from sigma ~1e153 the KSIEGE interval was (-inf, inf), and counted as
+    # covered; past ~1.3e154 the index direction overflowed to [0, 0]
+    @pytest.mark.parametrize("sigma, error", [
+        (1e153, "DegeneracyError: non-finite KSIEGE interval"),
+        (1e160, "DegeneracyError: degenerate index estimate")])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_noise_fails_every_replication(self, sigma, error):
+        sc = Scenario(**{**TINY, "reps": 2, "sigma": sigma})
+        records = run_scenario(sc)
+        assert [r.error.startswith(error) for r in records] == [True, True]
+        with pytest.raises(DomainError, match="no successful replications"):
+            aggregate(records, sc)
 
 
 class TestAggregate:

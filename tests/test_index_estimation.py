@@ -121,6 +121,15 @@ class TestEstimateBeta:
         assert est.degenerate
         np.testing.assert_array_equal(est.direction, np.zeros(2))
 
+    # past |beta| ~ 1.3e154 beta.dot(beta) overflows, and the "unit"
+    # direction beta / inf was [0, 0] without being flagged
+    @pytest.mark.parametrize("scale, degenerate", [(1e150, False), (1e160, True)])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_norm_is_degenerate(self, scale, degenerate):
+        est = _solve_normal_equations(np.eye(2), np.array([scale, scale]), 1, 0.0)
+        assert est.degenerate == degenerate
+        assert np.linalg.norm(est.direction) == (0.0 if degenerate else 1.0)
+
 
 class TestGramDiagnostic:
     def test_identity_scaled(self):

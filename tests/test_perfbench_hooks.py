@@ -4,7 +4,9 @@
 in ksib breaks only the traced benchmark run, so one test resolves each
 name the way ``Tracer.patch`` does.  ``perfbench/reference.json`` pins the
 exports' file names, CSV columns and JSON keys, which another test checks
-without comparing values (the benchmark compares those at 1e-9).  Both read
+without comparing values (the benchmark compares those at 1e-9).  A third
+builds every ``Scenario`` that ``perfbench/workloads.py`` builds, so a
+stricter ``Scenario`` fails here before it fails the benchmark.  All read
 perfbench and change nothing.
 """
 
@@ -12,6 +14,7 @@ import csv
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ from ksib import harness
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def load_tracer():
@@ -27,6 +31,19 @@ def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # workloads.py imports the tracer by its bare name, as run.py runs it,
+    # and its dataclasses look their module up in sys.modules
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        mp.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
     return module
 
 
@@ -63,9 +80,7 @@ def test_exports_keep_the_pinned_schema(tmp_path):
     correctness check, and fails here first."""
     with open(PERFBENCH / "reference.json", encoding="utf-8") as fh:
         ref = json.load(fh)["study_serial/tiny"]
-    config = dict(ref["summary.json"]["config"])
-    config["inference_times"] = tuple(config["inference_times"])
-    scenario = harness.Scenario(**config)
+    scenario = harness.Scenario(**ref["summary.json"]["config"])
     harness.export(harness.aggregate(harness.run_scenario(scenario), scenario),
                    str(tmp_path))
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(ref)
@@ -75,3 +90,17 @@ def test_exports_keep_the_pinned_schema(tmp_path):
                 assert next(csv.reader(fh)) == ref[name][0], name
             else:
                 assert dict_keys(json.load(fh)) == dict_keys(ref[name]), name
+
+
+@pytest.mark.parametrize("scale", ["full", "tiny"])
+def test_workload_scenarios_build(workloads, scale):
+    """Each workload's Scenario, built as its ``setup`` builds it: a study
+    unit's, the long trajectory's (the tiny one's default grid runs past
+    its T=200) and the replayed logs'."""
+    size = workloads.SCALES[scale]
+    seed = workloads.SCENARIO_SEED
+    built = [workloads.easy_scenario(seed, reps=size["study_reps"], **size["study"]),
+             workloads.easy_scenario(seed, reps=1, **size["horizon"]),
+             workloads.hard_scenario(seed, reps=1, **size["replay"])]
+    assert [sc.T for sc in built] == [size[key].get("T", 1000)
+                                      for key in ("study", "horizon", "replay")]

@@ -17,8 +17,8 @@ from ksib.numerics import Rng
 from ksib.policy import EpsilonGreedyPolicy
 
 
-def make_policy(seed=0, n_arms=2, d=2, T0=10, **kw):
-    sc = Scenario(n_arms=n_arms, d=d, T0=T0, **kw)
+def make_policy(seed=0, d=2, T0=10, **kw):
+    sc = Scenario(d=d, T0=T0, **kw)
     return EpsilonGreedyPolicy(sc, Rng(seed))
 
 
@@ -45,7 +45,7 @@ class TestEpsilonSchedule:
 
     def test_invalid(self):
         with pytest.raises(ConfigError, match="eps_floor"):
-            Scenario(eps_floor=0.5, eps_cap=0.4).validate()
+            Scenario(eps_floor=0.5, eps_cap=0.4)
 
 
 class TestLinkRidge:
@@ -76,14 +76,11 @@ class TestLinkRidge:
 
 class TestSelectionLaw:
     def test_warm_start_round_robin(self):
-        policy = make_policy(n_arms=3, T0=9)
-        links = tuple(lambda z, c=c: c + 0.1 * np.tanh(z)
-                      for c in (0.3, 0.5, 0.7))
-        env = SyntheticEnv(sample_canonical_betas(2, 3, Rng(5)), 0.0, Rng(1),
-                           links=links)
+        policy = make_policy(T0=9)
+        env = SyntheticEnv(sample_canonical_betas(2, 2, Rng(5)), 0.0, Rng(1))
         recs = run_rounds(policy, env, 9)
-        assert [r.arm for r in recs] == [0, 1, 2] * 3
-        assert all(r.propensity == pytest.approx(1 / 3) for r in recs)
+        assert [r.arm for r in recs] == [0, 1] * 4 + [0]
+        assert all(r.propensity == pytest.approx(1 / 2) for r in recs)
 
     def test_warm_start_equal_pulls(self):
         policy = make_policy(T0=50)
