@@ -161,6 +161,7 @@ def cmd_infer(args) -> int:
                           f"of {args.config}, got {args.t}")
     if scenario.d != log.dim:
         raise ConfigError(f"{args.config}: d={scenario.d}, log has {log.dim} context columns")
+    log.check_against(scenario)   # inference reads the rule, not the log's copy
     if args.context:
         try:
             x = np.array([float(v) for v in args.context.split(",")])

@@ -94,10 +94,14 @@ class RegretLedger:
         self.total = float(self.path[-1]) if self.path.size else 0.0
 
     def average(self, t: int | None = None) -> float:
-        if not self.path.size:
-            return 0.0
+        """Mean regret per round over rounds 1..t, by default over all T
+        rounds (0.0 for a ledger of no rounds)."""
         if t is None:
+            if not self.path.size:
+                return 0.0
             t = self.path.size
+        if not 1 <= t <= self.path.size:
+            raise DomainError(f"t must be in 1..{self.path.size}, got {t}")
         return float(self.path[t - 1]) / t
 
 

@@ -153,6 +153,8 @@ class Scenario:
 
     def epsilon(self, t: int) -> float:
         """Exploration rate of round ``t`` after the warm start."""
+        if t < 1:
+            raise DomainError(f"epsilon requires t >= 1, got {t}")
         return max(self.eps_floor, min(
             self.eps_cap, self.eps_coeff * float(t) ** (-self.eps_exponent)))
 
@@ -165,7 +167,8 @@ class Scenario:
 
 @dataclass
 class TrajectoryLog:
-    """Append-only audit record of one trajectory."""
+    """Append-only audit record of one trajectory; ``propensity`` is an
+    audit copy that inference never reads (see :meth:`check_against`)."""
 
     contexts: np.ndarray   # (T, d)
     greedy: np.ndarray     # (T,)
@@ -194,6 +197,37 @@ class TrajectoryLog:
         """Per-round assignment probability of ``arm`` over rounds 1..t."""
         return propensity(arm, self.greedy[:t], self.epsilon[:t],
                           np.arange(1, t + 1), warm_start, n_arms)
+
+    def check_against(self, scenario: Scenario) -> None:
+        """Refuse the first cell that ``scenario``'s allocation rule
+        contradicts: a round past ``T`` or a log that ends before it, a
+        warm-start (t <= T0) arm other than round-robin's ``(t - 1) % L``,
+        an ``epsilon`` other than ``1/L`` (t <= T0) or ``scenario.epsilon(t)``,
+        a ``propensity`` other than the rule's.  Exact: the policy wrote
+        them with these functions, and a written float reads back as is."""
+        n, T, T0, L = self.rounds, scenario.T, scenario.T0, scenario.n_arms
+        t = np.arange(1, n + 1)
+        warm, turn = t <= T0, (t - 1) % L
+        eps = np.array([1.0 / L if s <= T0 else scenario.epsilon(s)
+                        for s in range(1, n + 1)])
+        rule = propensity(self.arm, self.greedy, eps, t, T0, L)
+        # a line's checked cells in column order
+        bad = np.column_stack([t > T, warm & (self.greedy != turn),
+                               warm & (self.arm != turn), self.propensity != rule,
+                               self.epsilon != eps])
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            column, want, got = [
+                ("t", f"end of log at T={T}", t[i]),
+                ("greedy_arm", turn[i], self.greedy[i]),
+                ("pulled_arm", turn[i], self.arm[i]),
+                ("propensity", rule[i], self.propensity[i]),
+                ("epsilon", eps[i], self.epsilon[i])][j]
+            raise DomainError(f"audit log line {i + 2}, column {column}: "
+                              f"expected {want}, got {str(got.item())!r}")
+        if n < T:
+            raise DomainError(f"audit log line {n + 2}, column t: expected "
+                              f"{n + 1}, got end of log before T={T}")
 
     def to_rows(self) -> list[list]:
         rows = []
@@ -298,11 +332,13 @@ def inference_snapshot(log: TrajectoryLog, t: int, arm: int,
     pulled = log.arm[:t] == arm
     if not np.any(pulled):
         raise DegeneracyError(f"arm {arm} never pulled in first {t} rounds")
-    est = estimate_from_arrays(feats, rewards, pulled, log.propensity[:t],
+    # the rule, not the log's copy, gives the IPW weights and r-tilde
+    props = log.arm_propensities(arm, t, scenario.T0, scenario.n_arms)
+    est = estimate_from_arrays(feats, rewards, pulled, props,
                                scenario.lambda_beta, scenario.p_min)
     if est.degenerate:
         raise DegeneracyError(f"degenerate index estimate for arm {arm} at t={t}")
-    weights = ipw_weights(log.propensity[:t][pulled], scenario.p_min)
+    weights = ipw_weights(props[pulled], scenario.p_min)
     infl = index_inference.build_influence(
         feats[pulled], rewards[pulled], weights, est.beta_hat, est.gram,
         scenario.alpha, t)
@@ -316,8 +352,7 @@ def inference_snapshot(log: TrajectoryLog, t: int, arm: int,
     model = fit(u_sup, rewards[pulled], weights,
                 ridge_schedule(t, scenario.zeta), GaussianKernel(bw))
     cov = np_inference.build_covariance(model, scenario.gamma, residual_mode="loo")
-    r_tilde = np_inference.exploration_coefficient(
-        log.arm_propensities(arm, t, scenario.T0, scenario.n_arms))
+    r_tilde = np_inference.exploration_coefficient(props)
     return ArmSnapshot(arm, est, direction, report, cov, r_tilde)
 
 
@@ -605,6 +640,12 @@ def calibrated_band_ratio(pointwise_rows: list[dict], t_cal: int,
     cal = [r for r in band if r["t"] == t_cal]
     if not cal:
         raise DomainError(f"no band rows at calibration time {t_cal}")
+    band_eval = [r["length"] for r in band if r["t"] == t_eval]
+    clt_eval = [r["length"] for r in clt if r["t"] == t_eval]
+    for method, lengths in ((np_inference.METHOD_BAND, band_eval),
+                            (np_inference.METHOD_CLT, clt_eval)):
+        if not lengths:
+            raise DomainError(f"no {method} rows at evaluation time {t_eval}")
     errs = np.array([abs(r["truth"] - r["center"]) for r in cal])
     halves = np.array([0.5 * r["length"] for r in cal])
     c_star = np_inference.calibrate_band_constant(errs, halves)
@@ -615,8 +656,8 @@ def calibrated_band_ratio(pointwise_rows: list[dict], t_cal: int,
         cov = [abs(r["truth"] - r["center"]) <= c_star * 0.5 * r["length"]
                for r in rows]
         coverage[t] = float(np.mean(cov))
-    band_len = np.mean([c_star * r["length"] for r in band if r["t"] == t_eval])
-    clt_len = np.mean([r["length"] for r in clt if r["t"] == t_eval])
+    band_len = np.mean([c_star * length for length in band_eval])
+    clt_len = np.mean(clt_eval)
     ratio = float(band_len / clt_len)
     return c_star, {"coverage": coverage, "ratio": ratio,
                     "band_mean_length": float(band_len),

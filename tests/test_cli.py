@@ -504,6 +504,48 @@ class TestInferReplay:
                      "--t", "100"]) == 1
         assert capsys.readouterr().err == f"error: audit log {message}\n"
 
+    # an easy T=300 log (seed 4, grid (150, 299)) with one of these edits
+    # gave exit 0 and a different direction and KSIEGE centre, since the
+    # weights read the propensity column and r_tilde the rule
+    @pytest.mark.parametrize("line, column, cell, expected", [
+        (184, "propensity", "0.5", "0.01866856013935611"),
+        (251, "epsilon", "0.3", "0.016478408149591763")])
+    def test_log_that_disagrees_with_its_rule_refused(
+            self, tmp_path, capsys, line, column, cell, expected):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"inference_times": [150, 299]}))
+        run = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--T", "300", "--seed",
+                     "4", "--reps", "1", "--audit-reps", "1", "--threads", "1",
+                     "--out", str(run)]) == 0
+        with open(run / "rounds_rep0.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[line - 1][rows[0].index(column)] == expected
+        rows[line - 1][rows[0].index(column)] = cell
+        with open(run / "rounds_rep0.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert main(["infer", "--log", str(run / "rounds_rep0.csv"), "--arm", "0",
+                     "--t", "299"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: audit log line {line}, column {column}: "
+                                f"expected {expected}, got '{cell}'\n")
+        assert captured.out == ""
+
+    def test_log_longer_than_its_run_refused(self, sim_out, tmp_path, capsys):
+        """A round past the config's T is refused before any snapshot."""
+        with open(sim_out / "rounds_rep0.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows.append(["141"] + rows[-1][1:])
+        log = tmp_path / "rounds.csv"
+        with open(log, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        shutil.copy(sim_out / "rounds_rep0.json", tmp_path / "rounds.json")
+        assert main(["infer", "--log", str(log), "--arm", "0", "--t", "100"]) == 1
+        assert capsys.readouterr().err == (
+            "error: audit log line 142, column t: expected end of log at T=140, "
+            "got '141'\n")
+
     def test_columnwise_parse_equals_row_by_row(self, sim_out, tmp_path):
         """The log is parsed a column at a time by the float() and int() of
         each cell, bit for bit as a row-by-row parse, here with quoted cells,

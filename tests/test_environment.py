@@ -94,6 +94,15 @@ class TestRegretLedger:
         assert ledger.average() == pytest.approx(1.0)
         assert ledger.average(2) == pytest.approx(1.0)
 
+    # on two rounds, -1 gave path[-2] / -1, 0 a ZeroDivisionError and 3 an
+    # IndexError
+    @pytest.mark.parametrize("t", [-1, 0, 3])
+    def test_average_outside_the_rounds_refused(self, t):
+        ledger = RegretLedger(np.tile([1.0, 0.0], (2, 1)), [1, 1])
+        with pytest.raises(DomainError, match=f"t must be in 1..2, got {t}"):
+            ledger.average(t)
+        assert ledger.average() == ledger.average(2) == 1.0
+
     @pytest.mark.parametrize("means, pulled", [
         (np.zeros((3, 2)), [0, 1]), (np.zeros(3), [0, 1, 0]),
         (np.zeros((3, 2)), [[0, 1, 0]])])

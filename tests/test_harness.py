@@ -178,8 +178,75 @@ class TestTrajectoryLog:
         for arm in (0, 1):
             props = log.arm_propensities(arm, sc.T, sc.T0, 2)
             pulled = log.arm == arm
-            np.testing.assert_allclose(props[pulled], log.propensity[pulled])
-            np.testing.assert_allclose(props[:sc.T0], 0.5)
+            # exact: inference takes its weights from this rule alone
+            assert np.array_equal(props[pulled], log.propensity[pulled])
+            assert np.array_equal(props[:sc.T0], np.full(sc.T0, 0.5))
+
+    @pytest.mark.parametrize("score", ["known", "empirical"])
+    def test_policy_log_agrees_with_its_rule(self, score):
+        """Every epsilon and propensity the policy writes is the rule's,
+        bit for bit."""
+        sc = Scenario(**{**TINY, "score": score})
+        log, _, _, _ = run_trajectory(sc, 0)
+        log.check_against(sc)
+
+    # the T=140 log against a shorter and a longer run
+    @pytest.mark.parametrize("T, message", [
+        (139, "line 141, column t: expected end of log at T=139, got '140'"),
+        (141, "line 142, column t: expected 141, got end of log before T=141")])
+    def test_round_count_checked_against_T(self, T, message):
+        sc = Scenario(**TINY)
+        log, _, _, _ = run_trajectory(sc, 0)
+        with pytest.raises(DomainError, match=f"^audit log {message}$"):
+            log.check_against(dataclasses.replace(sc, T=T))
+
+    # rows 50 and 9 are rounds 51 (after the warm start) and 10 (in it)
+    @pytest.mark.parametrize("column, row, value", [
+        ("propensity", 50, 0.5), ("epsilon", 50, 0.3),
+        ("propensity", 9, 0.4), ("epsilon", 9, 0.25)])
+    def test_edit_refused_at_its_cell(self, column, row, value):
+        sc = Scenario(**TINY)
+        log, _, _, _ = run_trajectory(sc, 0)
+        getattr(log, column)[row] = value
+        with pytest.raises(DomainError, match=rf"^audit log line {row + 2}, "
+                                              rf"column {column}: expected .+, got '{value}'$"):
+            log.check_against(sc)
+
+    def test_greedy_arm_edit_refused_at_its_propensity(self):
+        """The greedy arm is not itself checked, but an edit moves the
+        rule's propensity of the round's pulled arm."""
+        sc = Scenario(**TINY)
+        log, _, _, _ = run_trajectory(sc, 0)
+        log.greedy[50] = 1 - log.greedy[50]
+        with pytest.raises(DomainError, match="^audit log line 52, column propensity: "):
+            log.check_against(sc)
+
+    # a warm-start arm is the round-robin's whatever the propensity says:
+    # round 11 is arm 0's turn, and relabelling it moved infer's direction
+    @pytest.mark.parametrize("field, column", [("greedy", "greedy_arm"),
+                                               ("arm", "pulled_arm")])
+    def test_warm_start_arm_edit_refused(self, field, column):
+        sc = Scenario(**TINY)
+        log, _, _, _ = run_trajectory(sc, 0)
+        getattr(log, field)[10] = 1
+        with pytest.raises(DomainError, match=f"^audit log line 12, column "
+                                              f"{column}: expected 0, got '1'$"):
+            log.check_against(sc)
+
+    def test_snapshot_reads_no_logged_propensity(self):
+        """The propensity column is an audit copy: overwriting it leaves
+        every snapshot value as it was."""
+        sc = Scenario(**TINY)
+        log, _, _, _ = run_trajectory(sc, 0)
+        want = [inference_snapshot(log, 139, arm, sc) for arm in (0, 1)]
+        log.propensity[:] = np.nan
+        for arm, snap in enumerate(want):
+            got = inference_snapshot(log, 139, arm, sc)
+            assert np.array_equal(got.estimate.beta_hat, snap.estimate.beta_hat)
+            assert got.report.ellipsoid_radius2 == snap.report.ellipsoid_radius2
+            assert got.r_tilde == snap.r_tilde
+            assert np.array_equal(got.covariance.model.support_w,
+                                  snap.covariance.model.support_w)
 
 
 class TestRunReplication:
@@ -434,3 +501,16 @@ class TestCalibratedRatio:
         # the calibrated band covers everything at the calibration time
         assert info["coverage"][200] == 1.0
         assert info["ratio"] == pytest.approx(2 * c_star * 1.0 / 0.1)
+
+    # a t_eval without rows of either method gave ratio nan and two
+    # RuntimeWarnings
+    @pytest.mark.parametrize("drop, message", [
+        ("AS", "no AS rows at evaluation time 999"),
+        ("KSIEGE", "no KSIEGE rows at evaluation time 999"),
+        (None, "no AS rows at evaluation time 500")])
+    def test_evaluation_time_without_rows_refused(self, drop, message):
+        rows = [{"t": t, "method": method, "center": 0.0, "truth": 0.01,
+                 "length": 0.1} for t in (200, 999) for method in ("AS", "KSIEGE")]
+        rows = [r for r in rows if not (r["t"] == 999 and r["method"] == drop)]
+        with pytest.raises(DomainError, match=message):
+            calibrated_band_ratio(rows, 200, 999 if drop else 500)

@@ -6,8 +6,9 @@ name the way ``Tracer.patch`` does.  ``perfbench/reference.json`` pins the
 exports' file names, CSV columns and JSON keys, which another test checks
 without comparing values (the benchmark compares those at 1e-9).  A third
 builds every ``Scenario`` that ``perfbench/workloads.py`` builds, so a
-stricter ``Scenario`` fails here before it fails the benchmark.  All read
-perfbench and change nothing.
+stricter ``Scenario`` fails here before it fails the benchmark, and a
+fourth checks that replay_infer's logs agree with their allocation rule,
+as ``ksib infer`` requires.  All read perfbench and change nothing.
 """
 
 import csv
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from ksib import harness
+from ksib import cli, harness
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -104,3 +105,15 @@ def test_workload_scenarios_build(workloads, scale):
              workloads.hard_scenario(seed, reps=1, **size["replay"])]
     assert [sc.T for sc in built] == [size[key].get("T", 1000)
                                       for key in ("study", "horizon", "replay")]
+
+
+@pytest.mark.parametrize("scale", ["full", "tiny"])
+def test_replay_logs_agree_with_their_rule(workloads, scale, tmp_path):
+    """A log written and read back as replay_infer's ``setup`` and units
+    do passes the check ``ksib infer`` runs before any snapshot."""
+    sc = workloads.hard_scenario(workloads.SCENARIO_SEED, reps=1,
+                                 **workloads.SCALES[scale]["replay"])
+    log, _, _, _ = harness.run_trajectory(sc, 0)
+    path = tmp_path / "rounds_0.csv"
+    workloads.write_audit(log, path)
+    cli.read_audit(str(path)).check_against(sc)

@@ -10,7 +10,7 @@ from dense_krr import DenseKrr
 from ksib import harness, kernel_ridge
 from ksib import policy as policy_module
 from ksib.environment import SyntheticEnv, sample_canonical_betas
-from ksib.errors import ConfigError, StateError
+from ksib.errors import ConfigError, DomainError, StateError
 from ksib.harness import Scenario, run_trajectory
 from ksib.kernel_ridge import ridge_schedule
 from ksib.numerics import Rng
@@ -46,6 +46,13 @@ class TestEpsilonSchedule:
     def test_invalid(self):
         with pytest.raises(ConfigError, match="eps_floor"):
             Scenario(eps_floor=0.5, eps_cap=0.4)
+
+    # round 0 gave a ZeroDivisionError and round -3 a TypeError from a
+    # complex power
+    @pytest.mark.parametrize("t", [0, -3])
+    def test_round_before_the_first_refused(self, t):
+        with pytest.raises(DomainError, match=f"epsilon requires t >= 1, got {t}"):
+            Scenario().epsilon(t)
 
 
 class TestLinkRidge:
