@@ -32,8 +32,8 @@ from .numerics import Rng, min_eigenvalue
 
 REALDATA_INFERENCE_TIMES = (200, 300, 400, 500, 600, 700, 800, 900)
 # the Scenario fields simulate takes as flags (realdata has --seed, --T, --T0)
-SCENARIO_FLAGS = ("d", "sigma", "reps", "seed", "T", "T0", "zeta", "gamma",
-                  "alpha", "lambda_beta", "level")
+SCENARIO_FLAGS = ("d", "sigma", "reps", "seed", "T", "T0", "zeta",
+                  "lambda_beta", "level")
 
 
 def _threads(flag) -> int:
@@ -162,7 +162,7 @@ def cmd_infer(args) -> int:
     if scenario.d != log.dim:
         raise ConfigError(f"{args.config}: d={scenario.d}, log has {log.dim} context columns")
     log.check_against(scenario)   # inference reads the rule, not the log's copy
-    if args.context:
+    if args.context is not None:   # "" is refused, not read as no context
         try:
             x = np.array([float(v) for v in args.context.split(",")])
         except ValueError as exc:

@@ -21,17 +21,17 @@ from .numerics import Rng
 DEFAULT_LINK_PARAMS = (0.6, 0.4, 0.4, 1.0)
 
 
-def tanh_links(params=DEFAULT_LINK_PARAMS):
+def tanh_links():
     """The default link pair ``(g1, g2)`` as two callables."""
-    mu1, mu2, a, k = params
+    mu1, mu2, a, k = DEFAULT_LINK_PARAMS
     return (lambda z: mu1 + a * np.tanh(k * z),
             lambda z: mu2 - a * np.tanh(k * z))
 
 
-def link_pair(z, params=DEFAULT_LINK_PARAMS):
+def link_pair(z):
     """Evaluate both default links at ``z``; returns ``(g1(z), g2(z))``."""
     z = np.asarray(z, dtype=float)
-    return tuple(g(z) for g in tanh_links(params))
+    return tuple(g(z) for g in tanh_links())
 
 
 def sample_canonical_betas(d: int, n_arms: int, rng: Rng) -> np.ndarray:
@@ -188,21 +188,25 @@ def load_csv(path, label_column, feature_columns=None,
             feats.append([float(row[i]) for i in feat_idx])
         except ValueError as exc:
             raise LoadError(f"{path}:{lineno}: non-numeric feature: {exc}") from exc
+        bad = [header[i] for i, v in zip(feat_idx, feats[-1]) if not np.isfinite(v)]
+        if bad:
+            raise LoadError(f"{path}:{lineno}: feature {bad[0]!r} is not finite")
         raw = row[label_idx].strip()
         if label_map is not None:
             if raw not in label_map:
                 raise LoadError(f"{path}:{lineno}: unmapped label {raw!r}")
-            labels.append(int(label_map[raw]))
+            label = label_map[raw]
         else:
             try:
-                labels.append(int(float(raw)))
+                label = float(raw)
             except ValueError as exc:
                 raise LoadError(
                     f"{path}:{lineno}: label {raw!r} is not numeric; the label column "
                     "must hold 0/1 labels, or load_csv callers pass label_map") from exc
-    labels_arr = np.asarray(labels)
-    uniq = set(labels_arr.tolist())
-    if not uniq <= {0, 1} or len(uniq) < 2:
-        raise LoadError(f"labels must be binary 0/1 after mapping, got {sorted(uniq)}")
-    return ReplayTable(np.asarray(feats, dtype=float), labels_arr,
+        if label not in (0, 1):   # int() would truncate 0.7 to 0
+            raise LoadError(f"{path}:{lineno}: label {raw!r} is not 0 or 1")
+        labels.append(int(label))
+    if len(set(labels)) < 2:
+        raise LoadError(f"labels must hold both 0 and 1, got only {labels[0]}")
+    return ReplayTable(np.asarray(feats, dtype=float), np.asarray(labels),
                        [header[i] for i in feat_idx])

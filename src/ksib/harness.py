@@ -49,8 +49,9 @@ LOG_TAIL_COLUMNS = ["greedy_arm", "pulled_arm", "propensity", "reward", "epsilon
 # value types accepted per Scenario field annotation
 _FIELD_TYPES = {"int": (int, np.integer), "str": (str,), "tuple": (tuple, list),
                 "float": (int, float, np.integer, np.floating)}
-# Scenario fields with one allowed value
-_SINGLE_VALUED = {"n_arms": 2, "krr_ridge_mode": "plain", "ridge_time": "rounds",
+# Scenario fields with one allowed value (README, "Configuration highlights")
+_SINGLE_VALUED = {"n_arms": 2, "alpha": 0.5, "gamma": np_inference.DEFAULT_GAMMA,
+                  "as_kappa": 1.0, "krr_ridge_mode": "plain", "ridge_time": "rounds",
                   "np_residual_mode": "loo"}
 
 
@@ -70,8 +71,8 @@ class Scenario:
     T0: int = 50
     reps: int = 100
     inference_times: tuple = DEFAULT_INFERENCE_TIMES
-    alpha: float = 0.5
-    gamma: float = np_inference.DEFAULT_GAMMA
+    alpha: float = 0.5            # cancels in the studentized ellipsoid
+    gamma: float = np_inference.DEFAULT_GAMMA   # cancels in the CLT interval
     zeta: float = DEFAULT_ZETA
     lambda_beta: float = DEFAULT_LAMBDA_BETA
     level: float = 0.95
@@ -87,7 +88,7 @@ class Scenario:
     krr_ridge_mode: str = "plain"
     ridge_time: str = "rounds"
     as_theta: float = np_inference.DEFAULT_THETA
-    as_kappa: float = 1.0
+    as_kappa: float = 1.0         # the Gaussian kernel's sup k(u,u)^(1/2)
     as_c_const: float = 1.0
     np_residual_mode: str = "loo"
 
@@ -120,9 +121,8 @@ class Scenario:
             raise ConfigError("inference_times must lie in (T0, T]")
         if any(b >= a for a, b in zip(times[1:], times)):
             raise ConfigError("inference_times must be strictly increasing")
-        for name in ("alpha", "gamma", "level"):   # alpha, gamma: see README
-            if not 0 < getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be in (0,1)")
+        if not 0 < self.level < 1:
+            raise ConfigError("level must be in (0,1)")
         for name, only in _SINGLE_VALUED.items():
             if getattr(self, name) != only:
                 raise ConfigError(f"{name} must be {only!r}")
@@ -142,8 +142,6 @@ class Scenario:
             raise ConfigError("score must be 'known' or 'empirical'")
         if not (0 < self.as_theta < 0.5):
             raise ConfigError("as_theta must be in (0, 1/2)")
-        if self.as_kappa <= 0:
-            raise ConfigError("as_kappa must be positive")
         if self.as_c_const <= 0:
             raise ConfigError("as_c_const must be positive")
 

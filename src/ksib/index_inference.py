@@ -110,17 +110,14 @@ def sign_align(candidate, reference):
     return candidate
 
 
-def ellipsoid_covers(report: DirectionalReport, candidate, align: bool = True) -> bool:
-    """Joint membership test for a candidate unit direction.
+def ellipsoid_covers(report: DirectionalReport, candidate) -> bool:
+    """Joint membership test for a candidate unit direction, sign-aligned first.
 
     Uses the pseudo-inverse of the directional covariance restricted to the
     tangent space (eigenvalue cutoff relative to the largest eigenvalue).
     A numerically zero covariance degenerates to the point ellipsoid.
     """
-    u = np.asarray(candidate, dtype=float)
-    if align:
-        u = sign_align(u, report.direction)
-    diff = u - report.direction
+    diff = sign_align(candidate, report.direction) - report.direction
     evals, evecs = np.linalg.eigh(report.v_dir)
     lam_max = float(evals[-1])
     if lam_max <= _ZERO_FLOOR:

@@ -18,7 +18,8 @@ Two constructions share the fitted regressor's center:
 * ``AS`` -- a conservative uniform-band interval whose half-width is the
   closed form ``2 sqrt(2) kappa c (2 r_tilde / eta)^theta`` driven by the
   realized exploration coefficient ``r_tilde``; it ignores the data except
-  through ``r_tilde`` and the center.
+  through ``r_tilde`` and the center.  ``kappa = 1`` is the Gaussian
+  kernel's bound ``sup k(u,u)^(1/2)``.
 """
 
 from __future__ import annotations

@@ -116,14 +116,38 @@ class TestSimulate:
         assert not (tmp_path / "x").exists()
 
     def test_out_of_range_gamma_rejected(self, tmp_path, capsys):
-        """gamma=200 used to end in an OverflowError traceback."""
+        """gamma=200 used to end in an OverflowError traceback; gamma is now
+        a fixed label."""
         cfg = tmp_path / "gamma.json"
         cfg.write_text(json.dumps({"T": 300, "T0": 20, "reps": 1,
                                    "inference_times": [100, 299], "gamma": 200}))
         code = main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "x")])
         assert code == 1
-        assert capsys.readouterr().err == "error: gamma must be in (0,1)\n"
+        assert capsys.readouterr().err == "error: gamma must be 0.5\n"
+        assert not (tmp_path / "x").exists()
+
+    # alpha and gamma cancel in every reported number and as_kappa is the
+    # Gaussian kernel's bound, so each is a fixed label: a config file that
+    # sets another value is refused, and simulate has no flag for either
+    @pytest.mark.parametrize("field, value, only", [
+        ("alpha", 0.3, "0.5"), ("gamma", 0.3, "0.5"), ("as_kappa", 2.0, "1.0")])
+    def test_fixed_label_in_config_refused(self, tmp_path, capsys, field, value,
+                                           only):
+        cfg = tmp_path / "fixed.json"
+        cfg.write_text(json.dumps({field: value}))
+        code = main(["simulate", "--config", str(cfg), "--reps", "1",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {field} must be {only}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--gamma"])
+    def test_fixed_label_flags_gone(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", flag, "0.5", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_other_link_configuration_rejected(self, tmp_path, capsys):
@@ -319,7 +343,9 @@ class TestInferReplay:
     @pytest.mark.parametrize("flags, message", [
         (["--context", "1,abc"], "--context"),
         (["--context", "1,nan"], "--context must be finite"),
-        (["--log", {"T0": -5}], "need 0 < T0 < T")])
+        (["--log", {"T0": -5}], "need 0 < T0 < T"),
+        (["--context", ""], "--context"),   # was read as no --context
+        (["--log", {"alpha": 0.3}], "alpha must be 0.5")])
     def test_bad_input_refused(self, sim_out, tmp_path, capsys, flags, message):
         log = sim_out / "rounds_rep0.csv"
         if flags[0] == "--log":
@@ -332,6 +358,26 @@ class TestInferReplay:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == ""
+
+    # sha256 of sim_out's log and config, and of two infer outputs on them,
+    # as the code wrote and printed them while alpha, gamma and as_kappa
+    # were settable: the config that holds them still loads, and infer
+    # prints the same bytes
+    def test_log_and_config_of_settable_labels_give_same_output(self, sim_out,
+                                                                capsys):
+        sha = lambda data: hashlib.sha256(data).hexdigest()
+        assert [sha((sim_out / name).read_bytes())
+                for name in ("rounds_rep0.csv", "rounds_rep0.json")] == [
+            "23b3889dafa48549f2228b449fcd930c5737df91310cc6c78992c649cfe7d44a",
+            "4ade5b8ea01e194e5e39fcff1953a69737f3137e2b2666a8914330981885f94f"]
+        for flags, digest in [
+                (["--arm", "0", "--t", "100"],
+                 "aa024c7f97553bf9d4121040f2498c8c55fe9a26c8af18dd54651afccf4be794"),
+                (["--arm", "1", "--t", "139", "--context", "0.3,-1.2"],
+                 "46ebbbceb1c97763693e8eddbd3092225abea1f2d0a068c217cdb87d4455c613")]:
+            assert main(["infer", "--log", str(sim_out / "rounds_rep0.csv")]
+                        + flags) == 0
+            assert sha(capsys.readouterr().out.encode()) == digest
 
     def test_empty_log_errors(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -675,6 +721,21 @@ class TestRealdata:
         assert err.startswith(f"error: {path}:2: label 'Cammeo' is not numeric; "
                               "the label column must hold 0/1 labels")
         assert "label_map" in err
+        assert not (tmp_path / "rd").exists()
+
+    # an inf label ended in an OverflowError traceback, and a nan feature in
+    # "nonfinite or mis-shaped observation rejected" with no line number
+    @pytest.mark.parametrize("row, message", [
+        ("11434,inf", "3: label 'inf' is not 0 or 1"),
+        ("nan,1", "3: feature 'Area' is not finite")])
+    def test_non_finite_cell_refused_with_line(self, tmp_path, capsys, row,
+                                               message):
+        path = tmp_path / "cells.csv"
+        path.write_text(f"Area,Class\n15231,0\n{row}\n11434,1\n")
+        code = main(["realdata", "--csv", str(path), "--label-col", "Class",
+                     "--perms", "1", "--out", str(tmp_path / "rd")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}:{message}\n"
         assert not (tmp_path / "rd").exists()
 
 

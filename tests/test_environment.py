@@ -168,6 +168,22 @@ class TestLoadCsv:
         with pytest.raises(LoadError):
             load_csv(str(path), "y")
 
+    # int() truncated a 0.7 label to 0 and a 1.9 label to 1, an inf label
+    # overflowed, and a nan feature passed
+    @pytest.mark.parametrize("row, message", [
+        ("2.0,0.7", "label '0.7' is not 0 or 1"),
+        ("2.0,1.9", "label '1.9' is not 0 or 1"),
+        ("2.0,inf", "label 'inf' is not 0 or 1"),
+        ("2.0,nan", "label 'nan' is not 0 or 1"),
+        ("nan,1", "feature 'a' is not finite"),
+        ("-inf,0", "feature 'a' is not finite")])
+    def test_bad_label_or_feature_names_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,y\n1.0,0\n{row}\n3.0,1\n")
+        with pytest.raises(LoadError) as exc:
+            load_csv(str(path), "y")
+        assert str(exc.value) == f"{path}:3: {message}"
+
     def test_label_map(self, tmp_path):
         path = tmp_path / "mapped.csv"
         write_csv(path, ["a", "y"], [[1.0, "cat"], [2.0, "dog"], [3.0, "cat"]])

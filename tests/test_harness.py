@@ -76,10 +76,10 @@ class TestScenario:
     # the middle six once passed and then failed every replication (no third
     # link; a DomainError from the index solve or the band) or, for
     # as_kappa, inverted every AS band silently; the next four ran an
-    # exploration or ridge schedule that does not decay; the last four, alpha
+    # exploration or ridge schedule that does not decay; the next four, alpha
     # and gamma outside (0,1), overflowed a power or gave NaN intervals that
     # "covered"; the link fit has one configuration, and its three fields
-    # refuse any other value
+    # refuse any other value; alpha, gamma and as_kappa are fixed labels too
     @pytest.mark.parametrize("bad", [{"d": True}, {"reps": 2.0},
                                      {"inference_times": (200, "999")},
                                      {"inference_times": (200, 999.0)},
@@ -92,7 +92,9 @@ class TestScenario:
                                      {"gamma": 200.0}, {"gamma": 0.0},
                                      {"krr_ridge_mode": "support-scaled"},
                                      {"ridge_time": "pulls"},
-                                     {"np_residual_mode": "raw"}])
+                                     {"np_residual_mode": "raw"},
+                                     {"alpha": 0.3}, {"gamma": 0.3},
+                                     {"as_kappa": 2.0}])
     def test_validation_rejects_bools_floats_and_bad_times(self, bad):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             Scenario(**bad)

@@ -24,8 +24,8 @@ VALUES = {
     "reps": ([1], [0, -1, 1.0, True]),
     "d": ([1, 2, 5, np.int64(3)], [0, -1, True, 2.0, "2"]),
     "sigma": ([0, 0.05, 1.0, 1e150, 1e155, 1e300], [-1e-9, NAN, INF, "x", True]),
-    "alpha": ([0.5, 1e-9, 0.999], [0.0, 1.0, -200.0, NAN, "x"]),
-    "gamma": ([0.5, 1e-9, 0.999], [0.0, 1.0, 200.0, INF]),
+    "alpha": ([0.5], [0.25, 1e-9, 0.0, 1.0, -200.0, NAN, "x"]),
+    "gamma": ([0.5], [0.3, 0.999, 0.0, 200.0, INF]),
     "zeta": ([0.0, 0.05, 1.0, 50.0], [-0.05, NAN, INF]),
     "lambda_beta": ([0.0, 2e-3, 1.0, 1e300], [-1e-3, NAN]),
     "level": ([0.5, 0.95, 1e-9, 0.999999], [0.0, 1.0, NAN]),
@@ -42,7 +42,7 @@ VALUES = {
     "ridge_time": (["rounds"], ["pulls"]),
     "np_residual_mode": (["loo"], ["raw"]),
     "as_theta": ([0.25, 1e-9, 0.499], [0.0, 0.5, -0.1]),
-    "as_kappa": ([1.0, 1e-300, 1e300], [0.0, -1.0]),
+    "as_kappa": ([1.0], [2.0, 1e-300, 1e300, 0.0, -1.0]),
     "as_c_const": ([1.0, 1e-300, 1e300], [0.0, -1.0]),
 }
 ALWAYS = ("T", "T0", "reps")
