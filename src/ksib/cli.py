@@ -50,8 +50,11 @@ def _scenario_from_args(args, **fixed) -> Scenario:
     fields = {f.name for f in dataclasses.fields(Scenario)}
     values = {}
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = sorted(set(raw) - fields)
@@ -73,9 +76,11 @@ def _write_audit(log: TrajectoryLog, path: str, scenario: Scenario) -> None:
 
 
 def read_audit(path: str) -> TrajectoryLog:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise ConfigError(f"{path}: empty log")
     return TrajectoryLog.from_rows(rows[0], rows[1:])

@@ -151,25 +151,21 @@ def load_csv(path, label_column, feature_columns=None,
              label_map=None) -> ReplayTable:
     """Parse a headered CSV into a replay table.
 
-    ``label_column``/``feature_columns`` may be header names or integer
-    positions; ``feature_columns=None`` takes every non-label column.
+    ``label_column``/``feature_columns`` are header names;
+    ``feature_columns=None`` takes every non-label column.
     ``label_map`` maps raw label strings to 0/1 (binary labels required).
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
     if len(rows) < 2:
         raise LoadError(f"{path}: need a header row plus data rows")
     header = [h.strip() for h in rows[0]]
 
     def col_index(selector):
-        if isinstance(selector, int):
-            if not (0 <= selector < len(header)):
-                raise LoadError(f"column index {selector} out of range")
-            return selector
         if selector not in header:
             raise LoadError(f"column {selector!r} not in header {header}")
         return header.index(selector)

@@ -227,14 +227,11 @@ class TrajectoryLog:
             raise DomainError(f"audit log line {n + 2}, column t: expected "
                               f"{n + 1}, got end of log before T={T}")
 
-    def to_rows(self) -> list[list]:
-        rows = []
-        for i in range(self.rounds):
-            rows.append([i + 1, *[float(v) for v in self.contexts[i]],
-                         int(self.greedy[i]), int(self.arm[i]),
-                         float(self.propensity[i]), float(self.reward[i]),
-                         float(self.epsilon[i])])
-        return rows
+    def to_rows(self) -> list[tuple]:
+        """One tuple of Python numbers per round, in :meth:`header` order."""
+        return list(zip(range(1, self.rounds + 1), *self.contexts.T.tolist(),
+                        *(c.tolist() for c in (self.greedy, self.arm, self.propensity,
+                                               self.reward, self.epsilon))))
 
     @staticmethod
     def header(dim: int) -> list[str]:
@@ -242,10 +239,15 @@ class TrajectoryLog:
 
     @classmethod
     def from_rows(cls, header: list[str], rows: list[list[str]]) -> "TrajectoryLog":
-        if header[:1] != ["t"] or header[-5:] != LOG_TAIL_COLUMNS:
-            missing = [c for c in ["t"] + LOG_TAIL_COLUMNS if c not in header]
-            raise DomainError(f"audit log schema mismatch; missing columns {missing}")
         dim = len(header) - 6
+        missing = [c for c in ["t"] + LOG_TAIL_COLUMNS if c not in header]
+        if missing:
+            raise DomainError(f"audit log schema mismatch; missing columns {missing}")
+        expected = cls.header(dim)   # contexts are read by position, so names must match
+        if header != expected:
+            j = next(j for j, (a, b) in enumerate(zip(header, expected)) if a != b)
+            raise DomainError(f"audit log schema mismatch; column {j + 1} is "
+                              f"{header[j]!r}, expected {expected[j]!r}")
         if not rows:
             raise DomainError("empty audit log")
         kinds = [int] + [float] * dim + [int, int, float, float, float]
@@ -521,51 +523,46 @@ def _lookup(rows: list[dict], column: str, **match):
     raise KeyError(f"no {column} row with {match}")
 
 
+def _mean_se(values) -> tuple[float, float]:
+    """Mean and its standard error, std (ddof=1) over sqrt(n); 0.0 at n = 1."""
+    n = len(values)
+    se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return float(np.mean(values)), se
+
+
 def aggregate(records: list[RunRecord], scenario: Scenario) -> CoverageTable:
     """Rates, mean lengths, and regret curves across successful replications."""
     ok = [r for r in records if r.ok]
     if not ok:
         raise DomainError("no successful replications to aggregate")
-    times = list(scenario.inference_times)
-    coverage_rows, length_rows = [], []
-    for t in times:
+    z = normal_quantile(0.975)
+    coverage_rows, length_rows, regret_rows = [], [], []
+    for t in scenario.inference_times:
+        params = [[row for row in r.param_rows if row["t"] == t] for r in ok]
         # a replication covers jointly at t when every arm's ellipsoid does
-        joint = [int(all(flags)) for r in ok if (flags := [
-            row["covered"] for row in r.param_rows if row["t"] == t])]
+        joint = [int(all(row["covered"] for row in rows)) for rows in params if rows]
         coverage_rows.append(_rate_row(scenario, -1, t, "param_joint", joint))
         for a in range(scenario.n_arms):
-            per = [row["covered"] for r in ok for row in r.param_rows
-                   if row["t"] == t and row["arm"] == a]
+            per = [row["covered"] for rows in params for row in rows if row["arm"] == a]
             coverage_rows.append(_rate_row(scenario, a, t, "param", per))
+        points = [row for r in ok for row in r.pointwise_rows if row["t"] == t]
         for method in (np_inference.METHOD_CLT, np_inference.METHOD_BAND):
-            rows = [row for r in ok for row in r.pointwise_rows
-                    if row["t"] == t and row["method"] == method]
+            rows = [row for row in points if row["method"] == method]
             for a in [-1] + list(range(scenario.n_arms)):
                 sub = [row for row in rows if a == -1 or row["arm"] == a]
                 coverage_rows.append(_rate_row(scenario, a, t, f"np_{method}",
                                                [row["covered"] for row in sub]))
-                n = len(sub)
-                if n == 0:
-                    continue
-                lengths = [row["length"] for row in sub]
-                mean = float(np.mean(lengths))
-                se = float(np.std(lengths, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-                length_rows.append({"scenario": scenario.scenario_id, "arm": a,
-                                    "t": t, "method": method,
-                                    "mean_length": mean, "se": se, "n": n})
-
-    z = normal_quantile(0.975)
-    regret_rows = []
-    for t in times:
-        vals = [row["avg_regret"] for r in ok for row in r.regret_rows
-                if row["t"] == t]
-        if not vals:
-            continue
-        mean = float(np.mean(vals))
-        half = z * float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        regret_rows.append({"scenario": scenario.scenario_id, "t": t,
-                            "mean_avg_regret": mean, "lo": mean - half,
-                            "hi": mean + half, "n": len(vals)})
+                if sub:
+                    mean, se = _mean_se([row["length"] for row in sub])
+                    length_rows.append({"scenario": scenario.scenario_id, "arm": a,
+                                        "t": t, "method": method,
+                                        "mean_length": mean, "se": se, "n": len(sub)})
+        vals = [row["avg_regret"] for r in ok for row in r.regret_rows if row["t"] == t]
+        if vals:
+            mean, se = _mean_se(vals)
+            regret_rows.append({"scenario": scenario.scenario_id, "t": t,
+                                "mean_avg_regret": mean, "lo": mean - z * se,
+                                "hi": mean + z * se, "n": len(vals)})
 
     marginal_rows = [row for r in ok for row in r.marginal_rows]
     pointwise_rows = [row for r in ok for row in r.pointwise_rows]
@@ -631,7 +628,7 @@ def calibrated_band_ratio(pointwise_rows: list[dict], t_cal: int,
     compare mean lengths at ``t_eval``.
 
     Returns ``(c_star, info)`` where ``info`` carries the calibrated band's
-    coverage at every time plus the length ratio band/CLT at ``t_eval``.
+    ``coverage`` at every time plus the length ``ratio`` band/CLT at ``t_eval``.
     """
     band = [r for r in pointwise_rows if r["method"] == np_inference.METHOD_BAND]
     clt = [r for r in pointwise_rows if r["method"] == np_inference.METHOD_CLT]
@@ -654,9 +651,5 @@ def calibrated_band_ratio(pointwise_rows: list[dict], t_cal: int,
         cov = [abs(r["truth"] - r["center"]) <= c_star * 0.5 * r["length"]
                for r in rows]
         coverage[t] = float(np.mean(cov))
-    band_len = np.mean([c_star * length for length in band_eval])
-    clt_len = np.mean(clt_eval)
-    ratio = float(band_len / clt_len)
-    return c_star, {"coverage": coverage, "ratio": ratio,
-                    "band_mean_length": float(band_len),
-                    "clt_mean_length": float(clt_len)}
+    ratio = float(np.mean([c_star * length for length in band_eval]) / np.mean(clt_eval))
+    return c_star, {"coverage": coverage, "ratio": ratio}

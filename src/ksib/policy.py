@@ -2,11 +2,11 @@
 
 Round t <= T0 pulls arms round-robin (recorded propensity 1/L, the
 uniform-equivalent forced design); afterwards the estimated-best arm is
-pulled with probability 1 - eps_t and each other arm with eps_t/(L-1).
-Only the pulled arm's estimators change in a round; every arm's index is
-normalized by the policy's round clock ``t``.  Every round's record carries
-enough to rebuild each arm's propensity at every round: the greedy arm, the
-realized arm, its exact propensity, and eps_t.
+pulled with probability 1 - eps_t and the other arm with eps_t (both
+environments have two arms).  Only the pulled arm's estimators change in a
+round; every arm's index is normalized by the policy's round clock ``t``.
+Every round's record carries enough to rebuild each arm's propensity at
+every round: the greedy arm, the realized arm, its propensity and eps_t.
 """
 
 from __future__ import annotations
@@ -124,12 +124,8 @@ class EpsilonGreedyPolicy:
         else:
             eps = self.config.epsilon(t_next)
             best = arm = self.greedy_arm(x)
-            u = self.rng.uniform()
-            if u >= 1.0 - eps:
-                others = [i for i in range(n_arms) if i != best]
-                slot = min(int((u - (1.0 - eps)) / (eps / len(others))),
-                           len(others) - 1)
-                arm = others[slot]
+            if self.rng.uniform() >= 1.0 - eps:   # explore: the other arm
+                arm = 1 - best
         return arm, propensity(arm, best, eps, t_next, warm_start, n_arms), best, eps
 
     # -- estimator updates --------------------------------------------------

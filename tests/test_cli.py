@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ksib.cli import main, read_audit
+from ksib.errors import ConfigError
 
 SIM_ARGS = ["simulate", "--d", "2", "--sigma", "0.05", "--reps", "3",
             "--seed", "7", "--T", "140", "--T0", "20"]
@@ -72,6 +73,16 @@ class TestSimulate:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: seed must be in 0..2**64 - 1, got {seed}\n")
+        assert not (tmp_path / "x").exists()
+
+    # a config that is not UTF-8 ended in a UnicodeDecodeError traceback
+    def test_undecodable_config_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "utf16.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read {cfg}: 'utf-8' codec can't decode byte 0xff")
         assert not (tmp_path / "x").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
@@ -396,6 +407,16 @@ class TestInferReplay:
 
     HEADER = "t,x0,greedy_arm,pulled_arm,propensity,reward,epsilon\n"
     GOOD_ROW = "1,0.5,0,0,0.5,1.0,0.5\n"
+
+    # a log that is not UTF-8 ended in a UnicodeDecodeError traceback
+    def test_undecodable_log_refused(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.csv"
+        bad.write_bytes(b"\xff\xfe" + (self.HEADER + self.GOOD_ROW).encode("utf-16-le"))
+        assert main(["infer", "--log", str(bad), "--arm", "0", "--t", "60"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+        with pytest.raises(ConfigError):
+            read_audit(str(bad))
 
     def test_non_numeric_cell_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

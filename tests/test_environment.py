@@ -147,11 +147,24 @@ def toy_csv(tmp_path):
 
 
 class TestLoadCsv:
-    def test_by_name_and_by_index_agree(self, toy_csv):
-        by_name = load_csv(toy_csv, "label", ["f0", "f1", "f2"])
-        by_index = load_csv(toy_csv, 3, [0, 1, 2])
-        np.testing.assert_array_equal(by_name.features, by_index.features)
-        np.testing.assert_array_equal(by_name.labels, by_index.labels)
+    def test_header_names_select_columns(self, toy_csv):
+        table = load_csv(toy_csv, "label", ["f2", "f0"])
+        full = load_csv(toy_csv, "label")
+        np.testing.assert_array_equal(table.features, full.features[:, [2, 0]])
+        np.testing.assert_array_equal(table.labels, full.labels)
+        assert table.feature_names == ["f2", "f0"]
+        # a column position is no header name
+        with pytest.raises(LoadError, match="column 3 not in header"):
+            load_csv(toy_csv, 3)
+
+    # a byte that is not UTF-8 ended in a UnicodeDecodeError traceback
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,y\n1.0,0\n\xff,1\n3.0,1\n")
+        with pytest.raises(LoadError) as exc:
+            load_csv(str(path), "y")
+        assert str(exc.value).startswith(
+            f"cannot read {path}: 'utf-8' codec can't decode byte 0xff")
 
     def test_default_features_are_all_others(self, toy_csv):
         table = load_csv(toy_csv, "label")

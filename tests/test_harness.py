@@ -14,7 +14,7 @@ from ksib.harness import (RunRecord, Scenario, TrajectoryLog, aggregate,
                           calibrated_band_ratio, export, inference_snapshot,
                           np_cis_at, run_replication, run_scenario,
                           run_trajectory, write_csv)
-from ksib.numerics import Rng
+from ksib.numerics import Rng, normal_quantile
 
 TINY = dict(T=140, T0=20, reps=4, inference_times=(60, 100, 139),
             d=2, sigma=0.05, seed=3)
@@ -173,6 +173,18 @@ class TestTrajectoryLog:
         with pytest.raises(DomainError) as err:
             TrajectoryLog.from_rows(["t", "x0", "oops"], [["1", "0", "0"]])
         assert "pulled_arm" in str(err.value)
+
+    # contexts are read by position: a log with a moved or renamed context
+    # column replayed as if its header were the original's
+    @pytest.mark.parametrize("names, message", [
+        (["x1", "x0"], "column 2 is 'x1', expected 'x0'"),
+        (["foo", "bar"], "column 2 is 'foo', expected 'x0'"),
+        (["x0", "x2"], "column 3 is 'x2', expected 'x1'")])
+    def test_header_names_checked(self, names, message):
+        header = ["t", *names, *harness.LOG_TAIL_COLUMNS]
+        with pytest.raises(DomainError, match=message):
+            TrajectoryLog.from_rows(header, [["1", "0.5", "0.1", "0", "0", "0.5",
+                                              "1.0", "0.5"]])
 
     def test_arm_propensities_reconstruction(self):
         sc = Scenario(**TINY)
@@ -370,6 +382,36 @@ class TestAggregate:
         row = next(r for r in table.coverage_rows
                    if r["kind"] == "param_joint" and r["t"] == 60)
         assert abs(row["rate"] - 0.9) <= 3 * np.sqrt(0.9 * 0.1 / n)
+
+    # lengths.csv's se and regret.csv's lo/hi/n from hand-made records: the
+    # standard error is std (ddof=1) over sqrt(n), and 0.0 for one record
+    @pytest.mark.parametrize("values", [[0.25, 0.5, 1.5], [0.75]])
+    def test_length_se_and_regret_band(self, values):
+        sc = Scenario(**TINY)
+        records = []
+        for rep, v in enumerate(values):
+            rec = RunRecord(rep)
+            for t in sc.inference_times:
+                rec.param_rows += [{"t": t, "arm": a, "covered": 1} for a in (0, 1)]
+                rec.pointwise_rows.append({"t": t, "arm": 0, "method": "KSIEGE",
+                                           "covered": 1, "length": v})
+                rec.regret_rows.append({"t": t, "avg_regret": v})
+            records.append(rec)
+        table = aggregate(records, sc)
+        mean = float(np.mean(values))
+        se = (float(np.std(values, ddof=1) / np.sqrt(3)) if len(values) == 3
+              else 0.0)
+        half = normal_quantile(0.975) * se
+        for t in sc.inference_times:
+            # arm -1 pools both arms; arm 1 has no rows and so no length row
+            assert [(r["arm"], r["mean_length"], r["se"], r["n"])
+                    for r in table.length_rows if r["t"] == t] == [
+                (-1, mean, se, len(values)), (0, mean, se, len(values))]
+            [regret] = [r for r in table.regret_rows if r["t"] == t]
+            assert (regret["mean_avg_regret"], regret["lo"], regret["hi"],
+                    regret["n"]) == (mean, mean - half, mean + half, len(values))
+        if len(values) == 1:
+            assert table.regret_rows[0]["lo"] == table.regret_rows[0]["hi"] == mean
 
     def test_failed_reps_excluded_but_counted(self, tiny_records):
         sc, records = tiny_records
