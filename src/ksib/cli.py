@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .environment import ReplayEnv, load_csv
+from .environment import ReplayEnv, load_csv, open_input
 from .errors import ConfigError, DomainError, KsibError
 from .harness import (MARGINAL_COLUMNS, Scenario, TrajectoryLog, aggregate,
                       export, inference_snapshot, np_cis_at, run_policy,
@@ -50,11 +50,8 @@ def _scenario_from_args(args, **fixed) -> Scenario:
     fields = {f.name for f in dataclasses.fields(Scenario)}
     values = {}
     if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"cannot read {args.config}: {exc}") from exc
+        with open_input(args.config, ConfigError) as fh:
+            raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = sorted(set(raw) - fields)
@@ -76,11 +73,8 @@ def _write_audit(log: TrajectoryLog, path: str, scenario: Scenario) -> None:
 
 
 def read_audit(path: str) -> TrajectoryLog:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    with open_input(path, ConfigError) as fh:
+        rows = list(csv.reader(fh))
     if not rows:
         raise ConfigError(f"{path}: empty log")
     return TrajectoryLog.from_rows(rows[0], rows[1:])

@@ -11,6 +11,7 @@ i and earns reward 1 on a correct prediction.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,15 +54,10 @@ class SyntheticEnv:
             raise DomainError("sigma must be nonnegative")
         self.sigma = sigma
         self.rng = rng
-        if links is None:
-            links = tanh_links()
+        links = tanh_links() if links is None else links
         if len(links) != self.betas.shape[0]:
             raise DomainError("one link per arm required")
         self.links = links
-
-    @property
-    def n_arms(self) -> int:
-        return self.betas.shape[0]
 
     @property
     def dim(self) -> int:
@@ -147,6 +143,17 @@ class ReplayEnv:
         return x, rewards, 0.0
 
 
+@contextmanager
+def open_input(path, error):
+    """Open ``path`` to read as UTF-8, byte-order mark or not, raising
+    ``error("cannot read <path>: <reason>")`` if opening or decoding it fails."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
 def load_csv(path, label_column, feature_columns=None,
              label_map=None) -> ReplayTable:
     """Parse a headered CSV into a replay table.
@@ -155,12 +162,8 @@ def load_csv(path, label_column, feature_columns=None,
     ``feature_columns=None`` takes every non-label column.
     ``label_map`` maps raw label strings to 0/1 (binary labels required).
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise LoadError(f"cannot read {path}: {exc}") from exc
+    with open_input(path, LoadError) as fh:
+        rows = list(csv.reader(fh))
     if len(rows) < 2:
         raise LoadError(f"{path}: need a header row plus data rows")
     header = [h.strip() for h in rows[0]]
@@ -171,10 +174,8 @@ def load_csv(path, label_column, feature_columns=None,
         return header.index(selector)
 
     label_idx = col_index(label_column)
-    if feature_columns is None:
-        feat_idx = [i for i in range(len(header)) if i != label_idx]
-    else:
-        feat_idx = [col_index(c) for c in feature_columns]
+    feat_idx = ([i for i in range(len(header)) if i != label_idx]
+                if feature_columns is None else [col_index(c) for c in feature_columns])
 
     feats, labels = [], []
     for lineno, row in enumerate(rows[1:], start=2):

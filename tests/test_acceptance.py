@@ -2,8 +2,8 @@
 
 Each test prints one ``ACCEPTANCE n [PASS|FAIL]`` line (run with ``-s`` to
 see them live).  Criteria 1-4 consume two full replication studies
-(N=100 trajectories each, T=1000); on one core these take a few minutes
-combined.
+(N=100 trajectories each, T=1000), each run on every core with BLAS
+pinned to one thread per worker (tests/conftest.py).
 
 Four checks are expected to fail and are left failing deliberately:
 the joint directional coverage band (criterion 1), the late-time band in
@@ -43,7 +43,7 @@ from ksib import np_inference as npi
 from ksib.environment import link_pair
 from ksib.harness import (Scenario, aggregate, calibrated_band_ratio, export,
                           inference_snapshot, np_cis_at, run_replication,
-                          run_trajectory)
+                          run_scenario, run_trajectory)
 from ksib.index_estimation import IndexAccumulator, estimate_from_arrays
 from ksib.kernel_ridge import GaussianKernel, fit
 from ksib.numerics import Rng, chi2_quantile, min_eigenvalue, normal_quantile
@@ -63,7 +63,7 @@ def report(num, ok, detail):
 @pytest.fixture(scope="module")
 def easy_table():
     t0 = time.time()
-    records = [run_replication(EASY, r) for r in range(EASY.reps)]
+    records = run_scenario(EASY, threads=os.cpu_count())
     table = aggregate(records, EASY)
     print(f"[easy scenario: {EASY.reps} reps in {time.time() - t0:.0f}s]")
     assert table.diagnostics["failed"] <= 5
@@ -73,7 +73,7 @@ def easy_table():
 @pytest.fixture(scope="module")
 def hard_table():
     t0 = time.time()
-    records = [run_replication(HARD, r) for r in range(HARD.reps)]
+    records = run_scenario(HARD, threads=os.cpu_count())
     table = aggregate(records, HARD)
     print(f"[hard scenario: {HARD.reps} reps in {time.time() - t0:.0f}s]")
     assert table.diagnostics["failed"] <= 5

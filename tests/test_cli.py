@@ -783,3 +783,48 @@ class TestScenarioFlags:
         assert captured.err == "error: need 0 < T0 < T\n"
         assert captured.out == ""
         assert not os.path.exists(out)
+
+
+class TestInputFiles:
+    """--csv, --log and --config are read one way: as UTF-8 with or without
+    a byte-order mark, and an unreadable file is named in one message."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    # a marked log lost its "t" column to the mark, and a marked config
+    # ended in "Unexpected UTF-8 BOM"
+    def test_marked_log_and_config_give_same_output(self, sim_out, tmp_path,
+                                                    capsys):
+        for ext in ("csv", "json"):
+            (tmp_path / f"rounds.{ext}").write_bytes(
+                self.BOM + (sim_out / f"rounds_rep0.{ext}").read_bytes())
+        outputs = []
+        for log in (sim_out / "rounds_rep0.csv", tmp_path / "rounds.csv"):
+            assert main(["infer", "--log", str(log), "--arm", "1",
+                         "--t", "100"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_marked_config_runs_the_same_study(self, sim_out, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        patch_times(cfg)
+        cfg.write_bytes(self.BOM + cfg.read_bytes())
+        out = tmp_path / "out"
+        assert main(SIM_ARGS + ["--config", str(cfg), "--out", str(out),
+                                "--audit-reps", "1"]) == 0
+        assert dir_digest(out) == dir_digest(sim_out)
+
+    # a missing --log or --config printed the bare "[Errno 2] ..."
+    @pytest.mark.parametrize("flags", [
+        ["realdata", "--label-col", "label", "--csv"],
+        ["infer", "--arm", "0", "--t", "60", "--log"],
+        ["simulate", "--config"]], ids=["csv", "log", "config"])
+    def test_missing_file_named_one_way(self, tmp_path, capsys, flags):
+        missing, out = tmp_path / "missing", tmp_path / "out"
+        argv = flags + [str(missing)]
+        if flags[0] != "infer":
+            argv += ["--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read {missing}: [Errno 2] ")
+        assert not out.exists()

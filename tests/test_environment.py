@@ -166,6 +166,14 @@ class TestLoadCsv:
         assert str(exc.value).startswith(
             f"cannot read {path}: 'utf-8' codec can't decode byte 0xff")
 
+    # a spreadsheet's byte-order mark stayed in the first header name
+    def test_byte_order_mark_is_not_a_header_character(self, tmp_path):
+        path = tmp_path / "marked.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b,label\n1.0,2.0,0\n3.0,4.0,1\n")
+        table = load_csv(str(path), "label", ["a", "b"])
+        assert table.feature_names == ["a", "b"]
+        np.testing.assert_array_equal(table.features, [[1.0, 2.0], [3.0, 4.0]])
+
     def test_default_features_are_all_others(self, toy_csv):
         table = load_csv(toy_csv, "label")
         assert table.features.shape[1] == 3
