@@ -16,9 +16,11 @@ kernel regression, both covariance estimators) is rebuilt from rounds
 from __future__ import annotations
 
 import csv
+import ctypes
 import dataclasses
 import json
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -28,7 +30,7 @@ from . import index_inference, np_inference
 from .environment import RegretLedger, SyntheticEnv, sample_canonical_betas
 from .errors import ConfigError, DegeneracyError, DomainError, KsibError
 from .index_estimation import (DEFAULT_LAMBDA_BETA, DEFAULT_P_MIN,
-                               estimate_from_arrays, ipw_weights)
+                               estimate_pulled, ipw_weights)
 from .kernel_ridge import (DEFAULT_ZETA, GaussianKernel, fit, median_bandwidth,
                            ridge_schedule)
 from .numerics import Rng, min_eigenvalue, normal_quantile
@@ -315,7 +317,7 @@ def score_features_for(log: TrajectoryLog, t: int, score: str) -> np.ndarray:
     x = log.contexts[:t]
     if score == "known":
         return x
-    return EmpiricalWhiteningScore.from_batch(x).score(x)
+    return EmpiricalWhiteningScore.whiten_batch(x)
 
 
 def inference_snapshot(log: TrajectoryLog, t: int, arm: int,
@@ -328,28 +330,28 @@ def inference_snapshot(log: TrajectoryLog, t: int, arm: int,
     if t > log.rounds:
         raise DomainError(f"inference time {t} beyond logged rounds {log.rounds}")
     feats = score_features_for(log, t, scenario.score)
-    rewards = log.reward[:t]
-    pulled = log.arm[:t] == arm
-    if not np.any(pulled):
+    pulled = np.flatnonzero(log.arm[:t] == arm)
+    if not pulled.size:
         raise DegeneracyError(f"arm {arm} never pulled in first {t} rounds")
-    # the rule, not the log's copy, gives the IPW weights and r-tilde
+    # one gather of the pulled rounds serves every step (a known score is the
+    # context itself); the rule, not the log's copy, gives the weights and r-tilde
+    feats, rewards = feats.take(pulled, axis=0), log.reward.take(pulled)
+    contexts = feats if scenario.score == "known" else log.contexts.take(pulled, axis=0)
     props = log.arm_propensities(arm, t, scenario.T0, scenario.n_arms)
-    est = estimate_from_arrays(feats, rewards, pulled, props,
-                               scenario.lambda_beta, scenario.p_min)
+    weights = ipw_weights(props.take(pulled), scenario.p_min)
+    est = estimate_pulled(feats, rewards, weights, t, scenario.lambda_beta)
     if est.degenerate:
         raise DegeneracyError(f"degenerate index estimate for arm {arm} at t={t}")
-    weights = ipw_weights(props[pulled], scenario.p_min)
     infl = index_inference.build_influence(
-        feats[pulled], rewards[pulled], weights, est.beta_hat, est.gram,
-        scenario.alpha, t)
+        feats, rewards, weights, est.beta_hat, est.gram, scenario.alpha, t)
     vb = index_inference.v_beta(infl)
     report = index_inference.directional_report(
         est.beta_hat, vb, t, scenario.alpha, 1.0 - scenario.level)
 
     direction = est.direction if est.direction[0] >= 0 else -est.direction
-    u_sup = log.contexts[:t][pulled] @ direction
+    u_sup = contexts @ direction
     bw = median_bandwidth(u_sup)
-    model = fit(u_sup, rewards[pulled], weights,
+    model = fit(u_sup, rewards, weights,
                 ridge_schedule(t, scenario.zeta), GaussianKernel(bw))
     cov = np_inference.build_covariance(model, scenario.gamma, residual_mode="loo")
     r_tilde = np_inference.exploration_coefficient(props)
@@ -469,6 +471,31 @@ def run_replication(scenario: Scenario, rep: int,
     return record
 
 
+def _openblas_setters() -> list:
+    """The set-threads call of each OpenBLAS mapped into this process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in
+                            line.lower() and line.rstrip().endswith(".so")})
+    except OSError:
+        return []
+    names = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+             "openblas_set_num_threads")
+    setters = []
+    for lib in map(ctypes.CDLL, paths):
+        name = next((n for n in names if hasattr(lib, n)), None)
+        if name is not None:
+            setters.append(getattr(lib, name))
+            setters[-1].argtypes, setters[-1].restype = [ctypes.c_int], None
+    return setters
+
+
+def _pin_blas() -> None:
+    """Pool initializer: one BLAS thread per worker, as the workers share the cores."""
+    for setter in _openblas_setters():
+        setter(1)
+
+
 def run_scenario(scenario: Scenario, threads: int = 1,
                  logs: int = 0) -> list[RunRecord]:
     """Every replication of ``scenario``; only the first ``logs`` records
@@ -479,7 +506,9 @@ def run_scenario(scenario: Scenario, threads: int = 1,
     keep = [rep < logs for rep in reps]
     if threads <= 1:
         return [run_replication(scenario, rep, k) for rep, k in zip(reps, keep)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    if not _openblas_setters():
+        print("ksib: no OpenBLAS found to pin in the pool workers", file=sys.stderr)
+    with ProcessPoolExecutor(max_workers=threads, initializer=_pin_blas) as pool:
         # map yields the records in rep order
         return list(pool.map(run_replication, [scenario] * len(reps), reps, keep))
 

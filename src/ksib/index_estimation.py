@@ -91,7 +91,7 @@ def _solve_normal_equations(sum_gram, sum_moment, t: int,
 def ipw_weights(propensities, p_min: float = DEFAULT_P_MIN) -> np.ndarray:
     """Weights ``1/max(p, p_min)`` of propensities ``p``, each in (0, 1]."""
     propensities = np.asarray(propensities, dtype=float)
-    if np.any(propensities <= 0) or np.any(propensities > 1):
+    if (propensities <= 0).any() or (propensities > 1).any():
         raise DomainError("propensities must be in (0,1]")
     return 1.0 / np.maximum(propensities, p_min)
 
@@ -102,8 +102,14 @@ def estimate_from_arrays(features, rewards, pulled, propensities,
     """One-shot index estimate from a full history of ``t`` rounds (replay
     path): :class:`IndexAccumulator`'s sums over the pulled rounds at once."""
     pulled = np.asarray(pulled, dtype=bool)
-    feats = np.asarray(features, dtype=float)[pulled]
     w = ipw_weights(np.asarray(propensities, dtype=float)[pulled], p_min)
-    sum_gram = (feats * w[:, None]).T @ feats
-    sum_moment = (w * np.asarray(rewards, dtype=float)[pulled]) @ feats
-    return _solve_normal_equations(sum_gram, sum_moment, pulled.size, lambda_beta)
+    return estimate_pulled(np.asarray(features, dtype=float)[pulled],
+                           np.asarray(rewards, dtype=float)[pulled], w, pulled.size,
+                           lambda_beta)
+
+
+def estimate_pulled(feats, rewards, weights, t: int, lambda_beta: float) -> IndexEstimate:
+    """:func:`estimate_from_arrays` from the pulled rounds and their weights."""
+    sum_gram = (feats * weights[:, None]).T @ feats
+    sum_moment = (weights * rewards) @ feats
+    return _solve_normal_equations(sum_gram, sum_moment, t, lambda_beta)

@@ -109,21 +109,22 @@ class GaussianKernel:
         return np.ones(np.shape(u))
 
 
-def _pair_ends(s, d):
-    """``ends[i] = #{j : fl(s_j - s_i) <= d}`` for sorted finite ``s``.
+def _pair_ends(padded, d):
+    """``ends[i] = #{j : fl(s_j - s_i) <= d}`` for sorted finite ``s``,
+    given as ``padded = [nan, *s, nan]``.
 
     ``fl(s_j - s_i)`` is monotone in ``j``, so the set is a prefix of ``s``.
     ``searchsorted(s, s + d)`` finds its end by value; where ``fl(s_i + d)``
     rounded across the boundary, the end moves over the whole tie group of
-    the misplaced neighbour until both neighbours agree with ``d``.
+    the misplaced neighbour until both neighbours agree with ``d`` (a NaN
+    pad, past either end, agrees with every ``d``).
     """
+    s = padded[1:-1]
     ends = np.searchsorted(s, s + d, side="right")
-    last = s.size - 1
     while True:
-        before = s[np.maximum(ends - 1, 0)]
-        at = s[np.minimum(ends, last)]
-        down = (ends > 0) & (before - s > d)
-        up = (ends <= last) & (at - s <= d)
+        before, at = padded[ends], padded[ends + 1]
+        down = before - s > d
+        up = at - s <= d
         if not (down.any() or up.any()):
             return ends
         ends[down] = np.searchsorted(s, before[down], side="left")
@@ -174,9 +175,10 @@ def median_bandwidth(us, cap: int = PAIR_CAP) -> float:
     k = (pairs - 1) // 2
     first = np.arange(1, m + 1)   # pair (i, j) needs j > i
     base = m * (m + 1) // 2
+    padded = np.concatenate(([np.nan], s, [np.nan]))
 
     def upto(d):
-        ends = np.maximum(_pair_ends(s, d), first)
+        ends = np.maximum(_pair_ends(padded, d), first)
         return ends, int(ends.sum()) - base
 
     # the pilot's pair differences are the top P(P-1)/2 entries of its
@@ -198,11 +200,11 @@ def median_bandwidth(us, cap: int = PAIR_CAP) -> float:
         if count <= k:
             a, lo, n_lo = at, ends, count
         else:
-            b, n_hi = at, count
-    if b < pilot.size - 1:
-        # rank k lies in (pilot[a], pilot[b]]; many pairs may tie at
-        # pilot[b], so it is the answer when at most k pairs lie below it,
-        # and otherwise only the pairs strictly below it are gathered
+            b, hi, n_hi = at, ends, count
+    if n_hi - n_lo > budget and b < pilot.size - 1:
+        # rank k lies in (pilot[a], pilot[b]], and too many pairs tie at
+        # pilot[b] to gather: it is the answer when at most k pairs lie
+        # below it, and otherwise only the pairs strictly below it are gathered
         hi, n_hi = upto(np.nextafter(pilot[b], -np.inf))
         if n_hi <= k:
             return abs(float(pilot[b]))
@@ -346,12 +348,13 @@ def fit(support_u, support_y, support_w, ridge: float, kernel: GaussianKernel,
     # the exact-arithmetic tolerance, floored at the residual's round-off
     tol = max(PREDICTION_TOL * ridge * ridge / max(scale, ridge),
               TRACE_FLOOR * n * EPS * diag_max)
-    hint = np.unique(np.asarray(pivots, dtype=np.intp))
-    if hint.size and not (0 <= hint[0] and hint[-1] < n):
-        raise DomainError(f"pivots must index the support of size {n}")
+    hint = np.asarray(pivots, dtype=np.intp)
     order = np.empty(n, dtype=np.intp)   # the pivots, in order
     rank = 0
     if hint.size:
+        hint = np.unique(hint)
+        if not (0 <= hint[0] and hint[-1] < n):
+            raise DomainError(f"pivots must index the support of size {n}")
         # one block D_P K[P, :] D: dpstrf factors its columns P, and the
         # rows of the rank pivots Q it keeps give the panel
         block = kernel(u[hint], u)
@@ -376,11 +379,12 @@ def fit(support_u, support_y, support_w, ridge: float, kernel: GaussianKernel,
     while rank < n and trace > tol:
         if rank == lt.shape[0]:
             lt = np.concatenate([lt, np.empty((min(n, 2 * rank) - rank, n))])
-        i = int(np.argmax(resid))
+        i = int(resid.argmax())
         col = kernel(u, u[i])
         col *= sqrt_w * sqrt_w[i]
-        col -= lt[:rank].T @ lt[:rank, i]
-        col /= np.sqrt(resid[i])
+        if rank:   # at rank 0 the product is 0.0 and leaves col as it is
+            col -= lt[:rank].T @ lt[:rank, i]
+        col /= math.sqrt(resid[i])
         lt[rank] = col
         order[rank] = i
         resid -= col * col

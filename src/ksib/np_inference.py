@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import DomainError
 from .kernel_ridge import KrrModel
@@ -107,7 +107,10 @@ def build_covariance(model: KrrModel, gamma: float = DEFAULT_GAMMA, *,
     if residual_mode not in ("raw", "loo"):
         raise DomainError(f"unknown residual_mode {residual_mode!r}")
     c, lower = model.inner
-    g = solve_triangular(c, model.factor, lower=lower, check_finite=False)
+    # dtrtrs, which solve_triangular wraps; at rank 0 there is nothing to solve
+    g, info = dtrtrs(c, model.factor, lower=lower) if model.rank else (model.factor, 0)
+    if info:
+        raise np.linalg.LinAlgError(f"triangular solve failed, dtrtrs info {info}")
     one_minus_h = 1.0 - np.einsum("ij,ij->j", g, g)
     resid = model.support_y - model.fitted
     clipped = 0
@@ -165,10 +168,10 @@ def exploration_coefficient(propensities) -> float:
     p = np.asarray(propensities, dtype=float).ravel()
     if p.size < 1:
         raise DomainError("exploration_coefficient requires t >= 1")
-    if np.any(p <= 0):
+    if (p <= 0).any():
         raise DomainError("recorded propensities must be positive")
     t = p.size
-    return float(np.sum(1.0 / p) / t ** 2)
+    return float((1.0 / p).sum() / t ** 2)
 
 
 def calibrate_band_constant(abs_errors, base_half_widths) -> float:

@@ -36,6 +36,16 @@ class EmpiricalWhiteningScore:
     def from_batch(cls, xs) -> "EmpiricalWhiteningScore":
         """The state that ``update`` over each row of ``xs`` reaches, built
         from the batch count, mean and centered cross-product at once."""
+        return cls._batch(xs)[0]
+
+    @classmethod
+    def whiten_batch(cls, xs) -> np.ndarray:
+        """``from_batch(xs).score(xs)``, bit for bit, centring ``xs`` once."""
+        model, centered = cls._batch(xs)
+        return model._whiten(centered)
+
+    @classmethod
+    def _batch(cls, xs):
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2:
             raise DomainError(f"expected a 2-d batch of contexts, got shape {xs.shape}")
@@ -44,7 +54,7 @@ class EmpiricalWhiteningScore:
         model.mean = xs.mean(axis=0)
         centered = xs - model.mean
         model._m2 = centered.T @ centered
-        return model
+        return model, centered
 
     def update(self, x) -> None:
         x = np.asarray(x, dtype=float)
@@ -62,11 +72,12 @@ class EmpiricalWhiteningScore:
         return self._m2 / (self.count - 1)
 
     def score(self, x):
+        return self._whiten(np.asarray(x, dtype=float) - self.mean)
+
+    def _whiten(self, centered):
         cov = self.covariance
         ridge = 1e-8 * float(np.trace(cov)) / self.dim
         if ridge == 0.0 and min_eigenvalue(cov) <= 0.0:
             raise SingularityError("whitening covariance singular: the "
                                    "contexts do not vary", min_eigenvalue(cov))
-        x = np.asarray(x, dtype=float)
-        centered = x - self.mean
         return solve_spd(cov, centered.T, ridge=ridge).T

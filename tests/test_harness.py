@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -450,12 +452,12 @@ class TestExport:
         assert summary["schema_version"] == 1
         assert summary["config"]["sigma"] == sc.sigma
         assert summary["config"]["T"] == sc.T
-        header = open(out_a / "coverage.csv", encoding="utf-8").readline()
-        assert header.strip() == "scenario,d,sigma,arm,t,kind,rate,se,n"
-        header = open(out_a / "lengths.csv", encoding="utf-8").readline()
-        assert header.strip() == "scenario,arm,t,method,mean_length,se,n"
-        header = open(out_a / "regret.csv", encoding="utf-8").readline()
-        assert header.strip() == "scenario,t,mean_avg_regret,lo,hi,n"
+        for name, header in [
+                ("coverage.csv", "scenario,d,sigma,arm,t,kind,rate,se,n"),
+                ("lengths.csv", "scenario,arm,t,method,mean_length,se,n"),
+                ("regret.csv", "scenario,t,mean_avg_regret,lo,hi,n")]:
+            with open(out_a / name, encoding="utf-8") as fh:
+                assert fh.readline().strip() == header
 
     def test_numpy_scalars_written_as_numbers(self, tmp_path):
         """A numpy scalar is written as the number, not as its repr."""
@@ -473,6 +475,38 @@ class TestExport:
         assert not out.exists()
 
 
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")
+# prints the OpenBLAS thread counts of this process and of each of two pool
+# workers, read through the same symbols as perfbench's openblas_threads
+BLAS_PROBE = """
+import ctypes, json, os
+from ksib import harness
+
+
+def blas_threads(*_):
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in
+                        line.lower() and line.rstrip().endswith(".so")})
+    counts = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                get = getattr(lib, name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                counts[os.path.basename(path)] = get()
+                break
+    return counts
+
+
+if __name__ == "__main__":
+    harness.run_replication = blas_threads
+    sc = harness.Scenario(T=150, T0=20, inference_times=(100, 149), reps=2)
+    print(json.dumps([blas_threads(), harness.run_scenario(sc, threads=2)]))
+"""
+
+
 class TestParallel:
     def test_parallel_equals_serial(self, tmp_path):
         sc = Scenario(**{**TINY, "reps": 3})
@@ -484,6 +518,27 @@ class TestParallel:
         export(aggregate(serial, sc), str(out_a))
         export(aggregate(parallel, sc), str(out_b))
         assert dir_digest(out_a) == dir_digest(out_b)
+
+    def test_pool_workers_run_one_blas_thread(self, tmp_path):
+        """A forked worker inherits its parent's OpenBLAS, one thread per core
+        unless the environment says otherwise; the pool's initializer pins
+        every OpenBLAS in each worker to one thread.  Run in a fresh process
+        whose environment leaves the BLAS thread count unset."""
+        probe = tmp_path / "probe.py"
+        probe.write_text(BLAS_PROBE, encoding="utf-8")
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, str(probe)], env=env, timeout=300,
+                             capture_output=True, text=True, check=True)
+        parent, workers = json.loads(out.stdout.splitlines()[-1])
+        if not parent:
+            pytest.skip("no OpenBLAS in this numpy/scipy build")
+        assert len(workers) == 2
+        for counts in workers:
+            assert set(counts) == set(parent)
+            assert set(counts.values()) == {1}
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_keeps_only_the_logs_asked_for(self, threads):
