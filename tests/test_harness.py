@@ -540,6 +540,12 @@ class TestParallel:
             assert set(counts) == set(parent)
             assert set(counts.values()) == {1}
 
+    def test_pool_without_openblas_says_so_once(self, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "_openblas_setters", lambda: [])
+        sc = Scenario(**{**TINY, "reps": 2})
+        assert all(r.ok for r in run_scenario(sc, threads=2))
+        assert capsys.readouterr().err.count("no OpenBLAS found") == 1
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_keeps_only_the_logs_asked_for(self, threads):
         """A log costs T (8 d + 40) bytes; a study keeps only those it is
