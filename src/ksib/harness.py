@@ -311,15 +311,6 @@ class ArmSnapshot:
     r_tilde: float
 
 
-def score_features_for(log: TrajectoryLog, t: int, score: str) -> np.ndarray:
-    """Score features of rounds 1..t: the contexts themselves when "known"
-    (standard normal), else re-whitened from scratch at time t."""
-    x = log.contexts[:t]
-    if score == "known":
-        return x
-    return EmpiricalWhiteningScore.whiten_batch(x)
-
-
 def inference_snapshot(log: TrajectoryLog, t: int, arm: int,
                        scenario: Scenario) -> ArmSnapshot:
     """Rebuild one arm's full inferential state from the log at time t."""
@@ -329,14 +320,15 @@ def inference_snapshot(log: TrajectoryLog, t: int, arm: int,
         raise DomainError(f"inference time {t} not after warm start {scenario.T0}")
     if t > log.rounds:
         raise DomainError(f"inference time {t} beyond logged rounds {log.rounds}")
-    feats = score_features_for(log, t, scenario.score)
+    x = log.contexts[:t]
+    whitened = None if scenario.score == "known" else EmpiricalWhiteningScore.whiten_batch(x)
     pulled = np.flatnonzero(log.arm[:t] == arm)
     if not pulled.size:
         raise DegeneracyError(f"arm {arm} never pulled in first {t} rounds")
-    # one gather of the pulled rounds serves every step (a known score is the
-    # context itself); the rule, not the log's copy, gives the weights and r-tilde
-    feats, rewards = feats.take(pulled, axis=0), log.reward.take(pulled)
-    contexts = feats if scenario.score == "known" else log.contexts.take(pulled, axis=0)
+    # a known score is the context itself; one gather of the pulled rounds
+    # serves every step; the rule, not the log's copy, gives weights and r-tilde
+    contexts, rewards = x.take(pulled, axis=0), log.reward.take(pulled)
+    feats = contexts if whitened is None else whitened.take(pulled, axis=0)
     props = log.arm_propensities(arm, t, scenario.T0, scenario.n_arms)
     weights = ipw_weights(props.take(pulled), scenario.p_min)
     est = estimate_pulled(feats, rewards, weights, t, scenario.lambda_beta)

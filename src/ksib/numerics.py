@@ -59,20 +59,20 @@ class Rng:
         return self._gen.permutation(n)
 
 
-def _check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _check_symmetric(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"{name} must be square, got shape {a.shape}")
+        raise DomainError(f"A must be square, got shape {a.shape}")
     if not (a == a.T).all():
         # tolerate round-off asymmetry but nothing structural; NaN fails both
         if not np.abs(a - a.T).max() <= 1e-12 * (1.0 + np.abs(a).max()):
-            raise DomainError(f"{name} is not symmetric")
+            raise DomainError("A is not symmetric")
         a = 0.5 * (a + a.T)
     return a
 
 
-def factor_spd(a, ridge: float = 0.0):
-    """Cholesky factor of ``A + ridge*I`` for symmetric positive definite ``A``.
+def factor_spd(a):
+    """Cholesky factor of a symmetric positive definite ``A``.
 
     Returns the ``(c, lower)`` pair :func:`scipy.linalg.cho_solve` takes.
     One automatic jitter retry (``1e-10 * trace/dim`` added once) precedes
@@ -82,36 +82,33 @@ def factor_spd(a, ridge: float = 0.0):
     wraps, so the factor has the same bits, without the wrapper's per-call
     cost on the small systems of the policy loop.
     """
-    a = _check_symmetric(a, "A")
-    if ridge < 0:
-        raise DomainError("ridge must be nonnegative")
-    m = a if ridge == 0.0 else a + ridge * np.eye(a.shape[0])
-    c, info = dpotrf(m, lower=1, clean=0)
+    a = _check_symmetric(a)
+    c, info = dpotrf(a, lower=1, clean=0)
     if info != 0:
-        jitter = 1e-10 * np.trace(m) / m.shape[0]
+        jitter = 1e-10 * np.trace(a) / a.shape[0]
         if jitter <= 0:
             jitter = 1e-12
-        m = m + jitter * np.eye(m.shape[0])
-        c, info = dpotrf(m, lower=1, clean=0)
+        a = a + jitter * np.eye(a.shape[0])
+        c, info = dpotrf(a, lower=1, clean=0)
         if info != 0:
-            raise SingularityError("matrix not positive definite after ridge "
-                                   "and jitter", float(np.linalg.eigvalsh(m)[0]))
+            raise SingularityError("matrix not positive definite after jitter",
+                                   float(np.linalg.eigvalsh(a)[0]))
     return c, True
 
 
-def solve_spd(a, b, ridge: float = 0.0):
-    """Solve ``(A + ridge*I) x = b`` through :func:`factor_spd` and ``dpotrs``
-    (the solve ``cho_solve`` wraps).
+def solve_spd(a, b):
+    """Solve ``A x = b`` through :func:`factor_spd` and ``dpotrs`` (the solve
+    ``cho_solve`` wraps).
 
     ``b`` may be a vector or a matrix of stacked right-hand sides.
     """
-    c, lower = factor_spd(a, ridge)
+    c, lower = factor_spd(a)
     return dpotrs(c, np.asarray(b, dtype=float), lower=lower)[0]
 
 
 def min_eigenvalue(a) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
-    a = _check_symmetric(a, "A")
+    a = _check_symmetric(a)
     return float(np.linalg.eigvalsh(a)[0])
 
 

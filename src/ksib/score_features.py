@@ -2,8 +2,8 @@
 
 A score model turns a raw context ``x`` into the feature ``w = S(x)`` used
 by the moment estimator.  Standard normal contexts are their own score, so
-they need no model; contexts of unknown law are whitened by their running
-mean and covariance.
+they need no model; contexts of unknown law are whitened by their mean and
+covariance, one round at a time or over a whole history at once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ class EmpiricalWhiteningScore:
 
     Mean and covariance are maintained with Welford updates, so a long
     stream never loses precision to catastrophic cancellation;
-    :meth:`from_batch` builds the same state from a whole history at once.
+    :meth:`whiten_batch` whitens a whole history from its batch moments.
     ``ridge`` is ``1e-8 * trace(Cov)/dim`` at score time, which keeps the
     solve well-posed when the dimension approaches the early sample count.
     """
@@ -33,19 +33,10 @@ class EmpiricalWhiteningScore:
         self._m2 = np.zeros((dim, dim))
 
     @classmethod
-    def from_batch(cls, xs) -> "EmpiricalWhiteningScore":
-        """The state that ``update`` over each row of ``xs`` reaches, built
-        from the batch count, mean and centered cross-product at once."""
-        return cls._batch(xs)[0]
-
-    @classmethod
     def whiten_batch(cls, xs) -> np.ndarray:
-        """``from_batch(xs).score(xs)``, bit for bit, centring ``xs`` once."""
-        model, centered = cls._batch(xs)
-        return model._whiten(centered)
-
-    @classmethod
-    def _batch(cls, xs):
+        """The score of each row of ``xs`` under the state that ``update``
+        over those rows reaches, built from the batch count, mean and
+        centered cross-product, centring ``xs`` once."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2:
             raise DomainError(f"expected a 2-d batch of contexts, got shape {xs.shape}")
@@ -54,7 +45,7 @@ class EmpiricalWhiteningScore:
         model.mean = xs.mean(axis=0)
         centered = xs - model.mean
         model._m2 = centered.T @ centered
-        return model, centered
+        return model._whiten(centered)
 
     def update(self, x) -> None:
         x = np.asarray(x, dtype=float)
@@ -80,4 +71,4 @@ class EmpiricalWhiteningScore:
         if ridge == 0.0 and min_eigenvalue(cov) <= 0.0:
             raise SingularityError("whitening covariance singular: the "
                                    "contexts do not vary", min_eigenvalue(cov))
-        return solve_spd(cov, centered.T, ridge=ridge).T
+        return solve_spd(cov + ridge * np.eye(self.dim), centered.T).T

@@ -132,7 +132,7 @@ class TestSolveSpd:
 
     def test_ridge_hand_solve(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
-        x = solve_spd(a, np.array([1.0, 1.0]), ridge=1.0)
+        x = solve_spd(a + 1.0 * np.eye(2), np.array([1.0, 1.0]))
         np.testing.assert_allclose(x, [0.5, 1.0], atol=1e-14)
 
     def test_residual_on_random_pd(self):
@@ -183,7 +183,7 @@ class TestSolveSpd:
                 old = cho_solve(cho_factor(a + 0.2 * np.eye(d), lower=True,
                                            check_finite=False), b,
                                 check_finite=False)
-                assert np.array_equal(solve_spd(a, b, ridge=0.2), old)
+                assert np.array_equal(solve_spd(a + 0.2 * np.eye(d), b), old)
 
     def test_jitter_recovers_near_singular(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -197,11 +197,11 @@ class TestFactorSpd:
         g = rng.normal(size=(6, 6))
         a = g @ g.T
         b = rng.normal(size=6)
-        factor = factor_spd(a, ridge=0.3)
+        factor = factor_spd(a + 0.3 * np.eye(6))
         l = np.tril(factor[0])
         np.testing.assert_allclose(l @ l.T, a + 0.3 * np.eye(6), rtol=1e-13)
         np.testing.assert_array_equal(
-            cho_solve(factor, b, check_finite=False), solve_spd(a, b, ridge=0.3))
+            cho_solve(factor, b, check_finite=False), solve_spd(a + 0.3 * np.eye(6), b))
 
     def test_reports_jitter_retry(self):
         """A singular matrix is factored with the retry's jitter on its

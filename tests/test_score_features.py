@@ -3,17 +3,42 @@ streaming whitening."""
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from ksib.errors import DomainError, SingularityError, StateError
-from ksib.harness import TrajectoryLog, score_features_for
+from ksib.harness import Scenario, inference_snapshot, run_trajectory
+from ksib.index_estimation import estimate_from_arrays
 from ksib.score_features import EmpiricalWhiteningScore
 
 
 def test_known_score_is_the_context():
-    log = TrajectoryLog.empty(40, 3)
-    log.contexts[:] = np.random.default_rng(0).normal(size=(40, 3))
-    feats = score_features_for(log, 25, "known")
-    assert np.array_equal(feats, log.contexts[:25])
+    """A "known" snapshot's index estimate is the one-shot estimate on the
+    raw contexts, with the allocation rule's propensities."""
+    sc = Scenario(T=140, T0=20, reps=1, inference_times=(60, 100, 139),
+                  d=3, sigma=0.05, seed=3)
+    assert sc.score == "known"
+    log, _, _, _ = run_trajectory(sc, 0)
+    for t in sc.inference_times:
+        for arm in (0, 1):
+            props = log.arm_propensities(arm, t, sc.T0, sc.n_arms)
+            want = estimate_from_arrays(log.contexts[:t], log.reward[:t],
+                                        log.arm[:t] == arm, props,
+                                        sc.lambda_beta, sc.p_min)
+            got = inference_snapshot(log, t, arm, sc).estimate
+            assert np.array_equal(got.beta_hat, want.beta_hat)
+
+
+def ridged_whitening(cov, mean, x):
+    """The whitening written out with scipy: the covariance symmetrized, its
+    ridge ``1e-8 * trace/dim`` added, then ``cho_factor`` and ``cho_solve``."""
+    d = cov.shape[0]
+    ridge = 1e-8 * float(np.trace(cov)) / d
+    factor = cho_factor(0.5 * (cov + cov.T) + ridge * np.eye(d), lower=True)
+    return cho_solve(factor, (x - mean).T).T
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 class TestEmpiricalWhitening:
@@ -50,7 +75,7 @@ class TestEmpiricalWhitening:
             np.testing.assert_allclose(model.covariance,
                                        np.cov(xs.T).reshape(d, d), atol=1e-12)
 
-    def test_from_batch_matches_update_loop(self):
+    def test_whiten_batch_matches_update_loop(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             n = int(rng.integers(2, 300))
@@ -59,18 +84,40 @@ class TestEmpiricalWhitening:
             streamed = EmpiricalWhiteningScore(d)
             for x in xs:
                 streamed.update(x)
-            batch = EmpiricalWhiteningScore.from_batch(xs)
-            assert batch.count == streamed.count
-            np.testing.assert_allclose(batch.mean, streamed.mean, rtol=0,
-                                       atol=1e-12)
-            np.testing.assert_allclose(batch.covariance, streamed.covariance,
-                                       rtol=0, atol=1e-12)
-            np.testing.assert_allclose(batch.score(xs), streamed.score(xs),
-                                       rtol=0, atol=1e-10)
+            np.testing.assert_allclose(EmpiricalWhiteningScore.whiten_batch(xs),
+                                       streamed.score(xs), rtol=0, atol=1e-10)
 
-    def test_from_batch_rejects_bad_shape(self):
+    def test_whiten_batch_rejects_bad_shape(self):
         with pytest.raises(DomainError):
-            EmpiricalWhiteningScore.from_batch(np.zeros(3))
+            EmpiricalWhiteningScore.whiten_batch(np.zeros(3))
+
+    def test_streamed_score_is_the_ridged_solve(self):
+        """Bit for bit the solve of the symmetrized covariance plus its
+        ridge, on Welford covariances that are mostly asymmetric."""
+        rng = np.random.default_rng(5)
+        asymmetric = scored = 0
+        for d in (1, 2, 3, 4, 5, 5):
+            model = EmpiricalWhiteningScore(d)
+            for x in rng.normal(loc=rng.normal(size=d), size=(300, d)):
+                model.update(x)
+                if model.count > d:
+                    cov = model.covariance
+                    asymmetric += not np.array_equal(cov, cov.T)
+                    scored += 1
+                    assert_same_bits(model.score(x),
+                                     ridged_whitening(cov, model.mean, x))
+        assert asymmetric > scored / 2
+
+    def test_whiten_batch_is_the_ridged_solve(self):
+        rng = np.random.default_rng(6)
+        for d in (1, 2, 3, 4, 5, 5):
+            for n in (d + 1, 40, 399):
+                xs = rng.normal(loc=rng.normal(size=d), size=(n, d))
+                mean = xs.mean(axis=0)
+                centered = xs - mean
+                cov = (centered.T @ centered) / (n - 1)
+                assert_same_bits(EmpiricalWhiteningScore.whiten_batch(xs),
+                                 ridged_whitening(cov, mean, xs))
 
     def test_rejects_bad_shape(self):
         model = EmpiricalWhiteningScore(2)
