@@ -118,6 +118,7 @@ def cmd_realdata(args) -> int:
     master = Rng(args.seed)
     summary_rows = []
     marg_rows = []
+    skipped = {}   # error class name -> snapshots that raised it
     for perm in range(args.perms):
         env = ReplayEnv(table, seed=master.split(perm).seed, horizon=args.T)
         log, means = run_policy(scenario, env, master.split(10_000 + perm))
@@ -135,16 +136,22 @@ def cmd_realdata(args) -> int:
             for a in range(scenario.n_arms):
                 try:
                     snap = inference_snapshot(log, t, a, scenario)
-                except KsibError:
+                except KsibError as exc:
+                    name = type(exc).__name__
+                    skipped[name] = skipped.get(name, 0) + 1
                     continue
                 marg_rows.extend(marginal_rows(perm, a, t, snap.report))
     write_json(os.path.join(args.out, "realdata_summary.json"),
-               {"rows": summary_rows, "config": dataclasses.asdict(scenario)})
+               {"rows": summary_rows, "skipped_snapshots": skipped,
+                "config": dataclasses.asdict(scenario)})
     write_csv(os.path.join(args.out, "realdata_marginals.csv"),
               MARGINAL_COLUMNS, marg_rows)
     mean_acc = float(np.mean([r["accuracy"] for r in summary_rows]))
     print(f"realdata: {args.perms} permutations, mean accuracy {mean_acc:.3f}",
           file=sys.stderr)
+    if skipped:
+        print("realdata: skipped snapshots that raised " + ", ".join(
+            f"{name} x{n}" for name, n in sorted(skipped.items())), file=sys.stderr)
     return 0
 
 

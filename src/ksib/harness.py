@@ -32,7 +32,7 @@ from .errors import ConfigError, DegeneracyError, DomainError, KsibError
 from .index_estimation import (DEFAULT_LAMBDA_BETA, DEFAULT_P_MIN,
                                estimate_pulled, ipw_weights)
 from .kernel_ridge import (DEFAULT_ZETA, GaussianKernel, fit, median_bandwidth,
-                           ridge_schedule)
+                           ridge_schedule, support_hint)
 from .numerics import Rng, min_eigenvalue, normal_quantile
 from .policy import EpsilonGreedyPolicy, propensity
 from .score_features import EmpiricalWhiteningScore
@@ -335,7 +335,8 @@ def inference_snapshot(log: TrajectoryLog, t: int, arm: int,
     if est.degenerate:
         raise DegeneracyError(f"degenerate index estimate for arm {arm} at t={t}")
     infl = index_inference.build_influence(
-        feats, rewards, weights, est.beta_hat, est.gram, scenario.alpha, t)
+        feats, rewards, weights, est.beta_hat, est.gram, scenario.alpha, t,
+        factor=est.factor)
     vb = index_inference.v_beta(infl)
     report = index_inference.directional_report(
         est.beta_hat, vb, t, scenario.alpha, 1.0 - scenario.level)
@@ -343,8 +344,10 @@ def inference_snapshot(log: TrajectoryLog, t: int, arm: int,
     direction = est.direction if est.direction[0] >= 0 else -est.direction
     u_sup = contexts @ direction
     bw = median_bandwidth(u_sup)
-    model = fit(u_sup, rewards, weights,
-                ridge_schedule(t, scenario.zeta), GaussianKernel(bw))
+    # the fit warm-starts from pivots its own support gives, so the
+    # snapshot still depends on the log alone
+    model = fit(u_sup, rewards, weights, ridge_schedule(t, scenario.zeta),
+                GaussianKernel(bw), pivots=support_hint(u_sup, weights, bw))
     cov = np_inference.build_covariance(model, scenario.gamma, residual_mode="loo")
     r_tilde = np_inference.exploration_coefficient(props)
     return ArmSnapshot(arm, est, direction, report, cov, r_tilde)

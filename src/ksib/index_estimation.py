@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import solve_spd
+from .numerics import factor_spd, solve_spd
 
 DEFAULT_P_MIN = 1e-3
 DEFAULT_LAMBDA_BETA = 2e-3
@@ -30,6 +30,7 @@ class IndexEstimate:
     beta_hat: np.ndarray
     direction: np.ndarray
     gram: np.ndarray         # (sum_gram/t + lambda_beta*I), the solve matrix
+    factor: tuple            # gram's (c, lower) Cholesky pair from factor_spd
     moment_gram: np.ndarray  # sum_gram/t, the unregularized weighted Gram
     lambda_beta: float
     t: int
@@ -80,12 +81,13 @@ def _solve_normal_equations(sum_gram, sum_moment, t: int,
     moment_gram = sum_gram / t
     gram = moment_gram + 0.0   # like + lambda_beta * I, turns an off-diagonal -0.0 to 0.0
     gram.flat[::sum_moment.size + 1] += lambda_beta
-    beta = solve_spd(gram, sum_moment / t)
+    factor = factor_spd(gram)
+    beta = solve_spd(gram, sum_moment / t, factor)
     norm = math.sqrt(beta.dot(beta))   # as np.linalg.norm computes it
     if not 0.0 < norm < math.inf:   # zero, or |beta| past ~1.3e154 overflows
-        return IndexEstimate(beta, np.zeros(beta.size), gram, moment_gram,
+        return IndexEstimate(beta, np.zeros(beta.size), gram, factor, moment_gram,
                              lambda_beta, t, degenerate=True)
-    return IndexEstimate(beta, beta / norm, gram, moment_gram, lambda_beta, t)
+    return IndexEstimate(beta, beta / norm, gram, factor, moment_gram, lambda_beta, t)
 
 
 def ipw_weights(propensities, p_min: float = DEFAULT_P_MIN) -> np.ndarray:

@@ -42,12 +42,14 @@ class DirectionalReport:
 
 
 def build_influence(features, rewards, weights, beta_hat, gram, alpha: float,
-                    t: int) -> np.ndarray:
+                    t: int, factor=None) -> np.ndarray:
     """Influence vectors ``t^(alpha-1) A^{-1} w W R``: one row per pulled round.
 
     ``features``, ``rewards``, ``weights`` are restricted to rounds where
     the arm was pulled; ``gram`` is the regularized 1/t-scaled solve matrix
-    from the index estimate.  Residuals are taken against the current
+    from the index estimate.  ``factor``, its ``(c, lower)`` Cholesky pair
+    (``IndexEstimate.factor``), saves factoring ``gram`` again; the solve
+    has the same bits either way.  Residuals are taken against the current
     ``beta_hat``.
     """
     if t < 1:
@@ -60,7 +62,7 @@ def build_influence(features, rewards, weights, beta_hat, gram, alpha: float,
         return np.zeros((0, beta_hat.size))
     resid = rewards - features @ beta_hat
     rhs = (weights * resid)[:, None] * features
-    return float(t) ** (alpha - 1.0) * solve_spd(gram, rhs.T).T
+    return float(t) ** (alpha - 1.0) * solve_spd(gram, rhs.T, factor).T
 
 
 def v_beta(influence: np.ndarray) -> np.ndarray:

@@ -36,8 +36,9 @@ kernel block through LAPACK (``dpstrf`` on its hint columns, one triangular
 solve for the panel of the kept ones) instead of one greedy step per column;
 the greedy loop then continues to the same stopping rule, so the certificate
 is unchanged and only the factor's round-off differs.  Inference snapshots
-never pass a hint: a snapshot then depends on the log alone, and replaying
-an audit log reproduces it bit for bit.
+pass :func:`support_hint`, a pure function of the support and the
+bandwidth: a snapshot then depends on the log alone, and replaying an audit
+log reproduces it bit for bit.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ PAIR_CAP = 200_000
 # narrows it until it holds at most GATHER_BASE + GATHER_PER_ROW * m pairs,
 # about as many as one more count of m points costs to gather
 PILOT = 64
+# the pilot's pairs (hi, lo), hi > lo, ordered by hi: those of its first P
+# points are the first P(P-1)/2
+_PILOT_HI, _PILOT_LO = np.tril_indices(PILOT, -1)
 GATHER_BASE = 4096
 GATHER_PER_ROW = 16
 # the low-rank factor's error: |f_exact(v) - f(v)| and the leverages'
@@ -76,6 +80,10 @@ ROUNDOFF_TOL = 1e-5
 # hinted pivots are taken while every multiplier |L_sj| / L_jj of the factor
 # stays within this bound, which caps the round-off they can amplify
 HINT_GROWTH = 32.0
+# support_hint takes one point per cell of width bandwidth / HINT_CELLS and
+# keeps the HINT_CAP heaviest, about the rank of a snapshot's factor (~21)
+HINT_CELLS = 4.0
+HINT_CAP = 32
 EPS = float(np.finfo(float).eps)
 
 
@@ -181,13 +189,13 @@ def median_bandwidth(us, cap: int = PAIR_CAP) -> float:
         ends = np.maximum(_pair_ends(padded, d), first)
         return ends, int(ends.sum()) - base
 
-    # the pilot's pair differences are the top P(P-1)/2 entries of its
-    # sorted outer difference; -inf and inf stand for the counts 0 and M
+    # the pilot's sorted pair differences; -inf and inf stand for the
+    # counts 0 and M
     p = s[::-(-m // PILOT)]
-    pilot = np.sort(np.subtract.outer(p, p), axis=None)
-    pilot = pilot[p.size * (p.size + 1) // 2 - 1:]
-    pilot[0] = -np.inf
-    pilot = np.append(pilot, np.inf)
+    n_pilot = p.size * (p.size - 1) // 2
+    pilot = np.empty(n_pilot + 2)
+    pilot[0], pilot[-1] = -np.inf, np.inf
+    pilot[1:-1] = np.sort(p[_PILOT_HI[:n_pilot]] - p[_PILOT_LO[:n_pilot]])
     centre = 1 + k * (pilot.size - 3) // max(pairs - 1, 1)
     probes = [centre + p.size, centre - p.size]
     a, b, lo, hi, n_lo, n_hi = 0, pilot.size - 1, first, np.full(m, m), 0, pairs
@@ -214,6 +222,33 @@ def median_bandwidth(us, cap: int = PAIR_CAP) -> float:
     diffs = s[cols] - np.repeat(s, lengths)
     r = k - n_lo
     return abs(float(np.partition(diffs, r)[r]))   # abs: -0.0 - 0.0 is -0.0
+
+
+def support_hint(u, w, bandwidth: float) -> np.ndarray:
+    """Warm-start pivots for :func:`fit` from the support alone: sorted
+    indices of at most ``HINT_CAP`` points.
+
+    The points ``u`` are cut into cells of width ``bandwidth / HINT_CELLS``
+    from the smallest one.  Each cell gives its heaviest point, the lowest
+    index among equal weights, and of those the ``HINT_CAP`` heaviest are
+    kept, so a support spread over many bandwidths cannot make the hint
+    block dominate the fit.  The kernel hardly tells the points of one cell
+    apart, so the greedy factor pivots on about one heavy point per cell.
+    """
+    u = np.asarray(u, dtype=float).ravel()
+    w = np.asarray(w, dtype=float).ravel()
+    cell = np.floor((u - u.min()) * (HINT_CELLS / bandwidth))
+    # one stable sort by cell and, within a cell, by weight downwards:
+    # 0.5 w / max(w) lies in (0, 0.5], so no key leaves its cell
+    order = np.argsort(cell - 0.5 * w / w.max(), kind="stable")
+    cell = cell[order]
+    starts = np.empty(cell.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(cell[1:], cell[:-1], out=starts[1:])
+    picks = np.sort(order[starts])
+    if picks.size > HINT_CAP:
+        picks = np.sort(picks[np.argsort(-w[picks], kind="stable")[:HINT_CAP]])
+    return picks
 
 
 def ridge_schedule(t: int, zeta: float = DEFAULT_ZETA) -> float:
@@ -315,8 +350,9 @@ def fit(support_u, support_y, support_w, ridge: float, kernel: GaussianKernel,
     heavier ones would leave a panel whose round-off hides the residual.
     The greedy loop then continues from the residual diagonal until the
     same stopping rule holds, so the bound above holds for any hint.  An
-    empty hint is the cold start, bit for bit.  Only the policy passes one;
-    inference snapshots stay cold, so they depend on the log alone.
+    empty hint is the cold start, bit for bit.  The policy passes the
+    previous fit's pivots; inference snapshots pass :func:`support_hint` of
+    their support, so they depend on the log alone.
 
     Raises :class:`DomainError` when ``eps * sum(w) / ridge`` exceeds
     ``ROUNDOFF_TOL``: the Woodbury solve then loses about that much of the

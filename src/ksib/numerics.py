@@ -96,13 +96,15 @@ def factor_spd(a):
     return c, True
 
 
-def solve_spd(a, b):
+def solve_spd(a, b, factor=None):
     """Solve ``A x = b`` through :func:`factor_spd` and ``dpotrs`` (the solve
     ``cho_solve`` wraps).
 
     ``b`` may be a vector or a matrix of stacked right-hand sides.
+    ``factor``, the pair :func:`factor_spd` returned for ``A``, skips
+    factoring ``A`` again.
     """
-    c, lower = factor_spd(a)
+    c, lower = factor_spd(a) if factor is None else factor
     return dpotrs(c, np.asarray(b, dtype=float), lower=lower)[0]
 
 

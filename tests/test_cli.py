@@ -10,8 +10,9 @@ import shutil
 import numpy as np
 import pytest
 
-from ksib.cli import main, read_audit
-from ksib.errors import ConfigError
+from ksib import cli
+from ksib.cli import REALDATA_INFERENCE_TIMES, main, read_audit
+from ksib.errors import ConfigError, DegeneracyError, DomainError
 
 SIM_ARGS = ["simulate", "--d", "2", "--sigma", "0.05", "--reps", "3",
             "--seed", "7", "--T", "140", "--T0", "20"]
@@ -373,7 +374,10 @@ class TestInferReplay:
     # sha256 of sim_out's log and config, and of two infer outputs on them,
     # as the code wrote and printed them while alpha, gamma and as_kappa
     # were settable: the config that holds them still loads, and infer
-    # prints the same bytes
+    # prints the same bytes.  The infer digests were re-pinned when
+    # snapshot link fits began to warm-start from their own support
+    # (aa024c7f..., 46ebbbce... before): only the "pointwise" fields moved,
+    # by at most 1.2e-14 (1.1e-13 relative)
     def test_log_and_config_of_settable_labels_give_same_output(self, sim_out,
                                                                 capsys):
         sha = lambda data: hashlib.sha256(data).hexdigest()
@@ -383,9 +387,9 @@ class TestInferReplay:
             "4ade5b8ea01e194e5e39fcff1953a69737f3137e2b2666a8914330981885f94f"]
         for flags, digest in [
                 (["--arm", "0", "--t", "100"],
-                 "aa024c7f97553bf9d4121040f2498c8c55fe9a26c8af18dd54651afccf4be794"),
+                 "2b68a1c49b3b6cfdb3b1a0e2420312beb1c81a99e8b853e2b38ef1a1cb03b855"),
                 (["--arm", "1", "--t", "139", "--context", "0.3,-1.2"],
-                 "46ebbbceb1c97763693e8eddbd3092225abea1f2d0a068c217cdb87d4455c613")]:
+                 "4e6338b9f255d4ccec06b8e06ed38e8717fcb1d2283c38c4fe65fb2dce1e9488")]:
             assert main(["infer", "--log", str(sim_out / "rounds_rep0.csv")]
                         + flags) == 0
             assert sha(capsys.readouterr().out.encode()) == digest
@@ -666,6 +670,49 @@ class TestRealdata:
             assert row["accuracy"] > row["best_fixed_arm_accuracy"] - 0.05
             perms.add(row["accuracy"])
         assert (out / "realdata_marginals.csv").exists()
+
+    def test_skipped_snapshots_counted_by_error_class(self, tmp_path, capsys,
+                                                      monkeypatch):
+        """A snapshot that raises is left out of the marginals, counted in
+        the summary by its error class, and reported once on stderr."""
+        real = cli.inference_snapshot
+
+        def snapshot(log, t, arm, scenario):
+            if arm == 1:
+                raise DegeneracyError(f"arm {arm} fails at t={t}")
+            if t == 200:
+                raise DomainError(f"t={t} fails")
+            return real(log, t, arm, scenario)
+
+        monkeypatch.setattr(cli, "inference_snapshot", snapshot)
+        csv_path = two_cluster_csv(tmp_path / "clusters.csv")
+        out = tmp_path / "rd"
+        assert main(["realdata", "--csv", csv_path, "--label-col", "label",
+                     "--perms", "2", "--seed", "3", "--T", "400",
+                     "--T0", "20", "--out", str(out)]) == 0
+        times = [t for t in REALDATA_INFERENCE_TIMES if 20 < t <= 400]
+        assert 200 in times and len(times) > 1
+        summary = json.loads((out / "realdata_summary.json").read_text())
+        assert summary["skipped_snapshots"] == {
+            "DegeneracyError": 2 * len(times), "DomainError": 2}
+        err = capsys.readouterr().err
+        assert err.count("skipped") == 1
+        assert (f"realdata: skipped snapshots that raised "
+                f"DegeneracyError x{2 * len(times)}, DomainError x2\n") in err
+        with open(out / "realdata_marginals.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and {row["arm"] for row in rows} == {"0"}
+        assert "200" not in {row["t"] for row in rows}
+
+    def test_no_skipped_snapshot_no_message(self, tmp_path, capsys):
+        csv_path = two_cluster_csv(tmp_path / "clusters.csv")
+        out = tmp_path / "rd"
+        assert main(["realdata", "--csv", csv_path, "--label-col", "label",
+                     "--perms", "1", "--seed", "3", "--T", "400",
+                     "--T0", "20", "--out", str(out)]) == 0
+        summary = json.loads((out / "realdata_summary.json").read_text())
+        assert summary["skipped_snapshots"] == {}
+        assert "skipped" not in capsys.readouterr().err
 
     def test_distinct_permutations(self, tmp_path, capsys):
         csv_path = two_cluster_csv(tmp_path / "clusters.csv", seed=1)

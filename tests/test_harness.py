@@ -16,6 +16,7 @@ from ksib.harness import (RunRecord, Scenario, TrajectoryLog, aggregate,
                           calibrated_band_ratio, export, inference_snapshot,
                           np_cis_at, run_replication, run_scenario,
                           run_trajectory, write_csv)
+from ksib.kernel_ridge import HINT_CAP, fit, support_hint
 from ksib.numerics import Rng, normal_quantile
 
 TINY = dict(T=140, T0=20, reps=4, inference_times=(60, 100, 139),
@@ -322,6 +323,32 @@ class TestRunReplication:
         rec = run_replication(Scenario(**TINY), 0)
         assert not rec.ok and rec.log is None
 
+    @pytest.mark.parametrize("scenario", [
+        dict(d=2, sigma=0.05), dict(d=5, sigma=0.20, score="empirical")])
+    def test_snapshot_link_fit_is_hinted_by_its_support(self, scenario):
+        """Every snapshot warm-starts its link fit from ``support_hint`` of
+        its own support, and lies within the two bounds of the cold fit."""
+        sc = Scenario(T=400, T0=20, reps=1, seed=5,
+                      inference_times=(60, 150, 250, 399), **scenario)
+        log, _, _, _ = run_trajectory(sc, 0)
+        for t in sc.inference_times:
+            for arm in range(sc.n_arms):
+                snap = inference_snapshot(log, t, arm, sc)
+                hinted = snap.covariance.model
+                u, y, w = hinted.support_u, hinted.support_y, hinted.support_w
+                bandwidth = hinted.kernel.bandwidth
+                hint = support_hint(u, w, bandwidth)
+                assert hint.size <= HINT_CAP and np.array_equal(hint, np.unique(hint))
+                assert 0 <= hint[0] and hint[-1] < u.size
+                assert np.array_equal(support_hint(u, w, bandwidth), hint)
+                again = fit(u, y, w, hinted.ridge, hinted.kernel, pivots=hint)
+                assert np.array_equal(again.dual_coeffs, hinted.dual_coeffs)
+                assert np.isin(hinted.pivots[0], hint)
+                cold = fit(u, y, w, hinted.ridge, hinted.kernel)
+                points = np.append(u, log.contexts[t] @ snap.direction)
+                assert np.abs(hinted.predict(points) - cold.predict(points)).max() \
+                    <= hinted.bound + cold.bound
+
     # from sigma ~1e153 the KSIEGE interval was (-inf, inf), and counted as
     # covered; past ~1.3e154 the index direction overflowed to [0, 0]
     @pytest.mark.parametrize("sigma, error", [
@@ -539,6 +566,30 @@ class TestParallel:
         for counts in workers:
             assert set(counts) == set(parent)
             assert set(counts.values()) == {1}
+
+    @pytest.mark.parametrize("flags, score", [
+        (["--d", "2", "--sigma", "0.05"], "known"),
+        (["--d", "5", "--sigma", "0.20"], "empirical")])
+    def test_exports_equal_across_blas_threads(self, tmp_path, flags, score):
+        """A study writes the same bytes whether BLAS runs one thread or
+        two: snapshots call dpstrf and dtrsm, and the policy does too."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"inference_times": [60, 100, 139],
+                                      "score": score}))
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           p for p in (src, env.get("PYTHONPATH")) if p))
+            out = tmp_path / f"blas{threads}"
+            subprocess.run([sys.executable, "-m", "ksib.cli", "simulate", *flags,
+                            "--reps", "2", "--seed", "3", "--T", "140", "--T0", "20",
+                            "--threads", "1", "--config", str(config), "--out", str(out)],
+                           env=env, timeout=300, capture_output=True, check=True)
+            digests.append(dir_digest(out))
+        assert digests[0] == digests[1]
 
     def test_pool_without_openblas_says_so_once(self, monkeypatch, capsys):
         monkeypatch.setattr(harness, "_openblas_setters", lambda: [])

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from ksib.errors import DegeneracyError
+from ksib.index_estimation import estimate_pulled
 from ksib.index_inference import (build_influence, directional_covariance,
                                   directional_report, ellipsoid_covers,
                                   marginal_rows, sign_align, v_beta)
-from ksib.numerics import chi2_quantile, min_eigenvalue
+from ksib.numerics import chi2_quantile, factor_spd, min_eigenvalue
 
 
 def random_instance(rng, d=3, n=12):
@@ -32,6 +33,20 @@ class TestBuildInfluence:
                                np.array([2.0]), np.zeros(2), np.eye(2),
                                alpha=0.5, t=1)
         np.testing.assert_allclose(infl, [[6.0, 0.0]], atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_estimate_factor_gives_the_same_bits(self, seed):
+        """The estimate's kept factor spares a second factorization of its
+        Gram matrix, with bit-identical influence vectors."""
+        rng = np.random.default_rng(seed)
+        feats, ys, weights = rng.normal(size=(40, 3)), rng.normal(size=40), \
+            rng.uniform(1.0, 8.0, size=40)
+        est = estimate_pulled(feats, ys, weights, 60, 2e-3)
+        assert np.array_equal(est.factor[0], factor_spd(est.gram)[0])
+        plain = build_influence(feats, ys, weights, est.beta_hat, est.gram, 0.5, 60)
+        kept = build_influence(feats, ys, weights, est.beta_hat, est.gram, 0.5, 60,
+                               factor=est.factor)
+        assert plain.tobytes() == kept.tobytes()
 
     def test_empty_history(self):
         infl = build_influence(np.zeros((0, 2)), np.zeros(0), np.zeros(0),

@@ -12,9 +12,10 @@ from scipy.linalg import cho_factor, cho_solve
 
 from ksib.errors import DomainError
 from ksib.harness import Scenario, inference_snapshot, run_trajectory
-from ksib.kernel_ridge import (PAIR_CAP, PREDICTION_TOL, TRACE_FLOOR,
-                               GaussianKernel, fit, median_bandwidth,
-                               ridge_schedule)
+from ksib.kernel_ridge import (HINT_CAP, HINT_CELLS, PAIR_CAP,
+                               PREDICTION_TOL, TRACE_FLOOR, GaussianKernel,
+                               fit, median_bandwidth, ridge_schedule,
+                               support_hint)
 from ksib.np_inference import build_covariance
 
 
@@ -520,6 +521,60 @@ class TestFitPivoted:
             with pytest.raises(DomainError, match="pivots"):
                 fit([0.0, 1.0], [1.0, 0.0], [1.0, 1.0], 0.5 * 2,
                     GaussianKernel(1.0), pivots=hint)
+
+
+class TestSupportHint:
+    """``support_hint``: the warm start inference snapshots pass to ``fit``."""
+
+    def test_heaviest_point_per_cell(self):
+        # cells of width 1/4: {0, 1, 2} and {3, 4}; equal weights go to
+        # the lowest index
+        u = np.array([0.0, 0.01, 0.02, 1.0, 1.01])
+        w = np.array([1.0, 3.0, 3.0, 2.0, 2.0])
+        assert support_hint(u, w, 1.0).tolist() == [1, 3]
+        assert support_hint(u[::-1], w[::-1], 1.0).tolist() == [0, 2]
+
+    def test_keeps_the_heaviest_cells(self):
+        # one point per cell; the HINT_CAP heaviest, ties to the lowest index
+        n = HINT_CAP + 8
+        w = np.ones(n)
+        w[[11, 3, 5]] = 0.5                      # one slot left: index 3
+        w[[20, 30, 35, 37, 38, 39]] = 0.25
+        dropped = {5, 11, 20, 30, 35, 37, 38, 39}
+        assert support_hint(np.arange(n, dtype=float), w, 1.0).tolist() == [
+            i for i in range(n) if i not in dropped]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cauchy_support_stays_within_the_cap(self, seed):
+        """A heavy-tailed support spreads over far more cells than the cap."""
+        rng = np.random.default_rng(seed)
+        u = rng.standard_cauchy(size=600)
+        w = 1.0 / np.where(rng.uniform(size=600) < 0.1, 0.005, 0.9)
+        bandwidth = median_bandwidth(u)
+        hint = support_hint(u, w, bandwidth)
+        cell = np.floor((u - u.min()) * (HINT_CELLS / bandwidth))
+        assert np.unique(cell).size > 2 * HINT_CAP and hint.size == HINT_CAP
+        assert np.array_equal(hint, np.unique(hint))
+        assert np.unique(cell[hint]).size == hint.size
+        # each kept point is its cell's heaviest, and no cell left out holds
+        # a point heavier than the lightest kept one
+        for i in hint:
+            assert w[i] == w[cell == cell[i]].max()
+        assert w[~np.isin(cell, cell[hint])].max() <= w[hint].min()
+        assert np.array_equal(support_hint(u, w, bandwidth), hint)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(supports(max_n=400, min_bandwidth=0.01),
+           st.sampled_from(["none", "support"]), st.floats(0.3, 1.0))
+    def test_hinted_fit_keeps_its_bound(self, support, scale, lam):
+        u, y, w, bandwidth = support
+        k = GaussianKernel(bandwidth)
+        hint = support_hint(u, w, bandwidth)
+        assert hint.size <= HINT_CAP and np.array_equal(hint, np.unique(hint))
+        assert 0 <= hint[0] and hint[-1] < u.size
+        model = fit(u, y, w, ridge_of(lam, scale, u.size), k, pivots=hint)
+        grid = np.concatenate([np.linspace(-4.0, 4.0, 161), u])
+        assert max(dense_errors(model, grid)) <= model.bound
 
 
 def dense_errors(model, grid):
