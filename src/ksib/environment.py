@@ -167,6 +167,14 @@ def load_csv(path, label_column, feature_columns=None,
     if len(rows) < 2:
         raise LoadError(f"{path}: need a header row plus data rows")
     header = [h.strip() for h in rows[0]]
+    # a name given twice, or the label as a feature, leaks the label or doubles a column
+    chosen = list(feature_columns or [])
+    for names, what in ((header, "header"), (chosen, "feature_columns")):
+        twice = next((c for i, c in enumerate(names) if c in names[:i]), None)
+        if twice is not None:
+            raise LoadError(f"column {twice!r} named twice in {what} {names}")
+    if label_column in chosen:
+        raise LoadError(f"label column {label_column!r} is also in feature_columns")
 
     def col_index(selector):
         if selector not in header:

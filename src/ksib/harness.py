@@ -192,11 +192,10 @@ class TrajectoryLog:
     def dim(self) -> int:
         return self.contexts.shape[1]
 
-    def arm_propensities(self, arm: int, t: int, warm_start: int,
-                         n_arms: int) -> np.ndarray:
-        """Per-round assignment probability of ``arm`` over rounds 1..t."""
-        return propensity(arm, self.greedy[:t], self.epsilon[:t],
-                          np.arange(1, t + 1), warm_start, n_arms)
+    def arm_propensities(self, arm: int, t: int) -> np.ndarray:
+        """``arm``'s propensity in rounds 1..t from the greedy and epsilon cells,
+        warm-start ones (eps = 1/2) too, as :meth:`check_against` checks them."""
+        return propensity(arm, self.greedy[:t], self.epsilon[:t])
 
     def check_against(self, scenario: Scenario) -> None:
         """Refuse the first cell that ``scenario``'s allocation rule
@@ -210,7 +209,7 @@ class TrajectoryLog:
         warm, turn = t <= T0, (t - 1) % L
         eps = np.array([1.0 / L if s <= T0 else scenario.epsilon(s)
                         for s in range(1, n + 1)])
-        rule = propensity(self.arm, self.greedy, eps, t, T0, L)
+        rule = propensity(self.arm, self.greedy, eps)
         # a line's checked cells in column order
         bad = np.column_stack([t > T, warm & (self.greedy != turn),
                                warm & (self.arm != turn), self.propensity != rule,
@@ -329,7 +328,7 @@ def inference_snapshot(log: TrajectoryLog, t: int, arm: int,
     # serves every step; the rule, not the log's copy, gives weights and r-tilde
     contexts, rewards = x.take(pulled, axis=0), log.reward.take(pulled)
     feats = contexts if whitened is None else whitened.take(pulled, axis=0)
-    props = log.arm_propensities(arm, t, scenario.T0, scenario.n_arms)
+    props = log.arm_propensities(arm, t)
     weights = ipw_weights(props.take(pulled), scenario.p_min)
     est = estimate_pulled(feats, rewards, weights, t, scenario.lambda_beta)
     if est.degenerate:
@@ -503,7 +502,9 @@ def run_scenario(scenario: Scenario, threads: int = 1,
         return [run_replication(scenario, rep, k) for rep, k in zip(reps, keep)]
     if not _openblas_setters():
         print("ksib: no OpenBLAS found to pin in the pool workers", file=sys.stderr)
-    with ProcessPoolExecutor(max_workers=threads, initializer=_pin_blas) as pool:
+    # the pool forks all its workers at once: at most one per replication
+    with ProcessPoolExecutor(max_workers=min(threads, len(reps)),
+                             initializer=_pin_blas) as pool:
         # map yields the records in rep order
         return list(pool.map(run_replication, [scenario] * len(reps), reps, keep))
 

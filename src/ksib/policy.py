@@ -1,9 +1,9 @@
 """Epsilon-greedy decision loop with exact propensity bookkeeping.
 
-Round t <= T0 pulls arms round-robin (recorded propensity 1/L, the
-uniform-equivalent forced design); afterwards the estimated-best arm is
-pulled with probability 1 - eps_t and the other arm with eps_t (both
-environments have two arms).  Only the pulled arm's estimators change in a
+The estimated-best (greedy) arm is pulled with probability 1 - eps_t and the
+other arm with eps_t (both environments have two arms); a warm-start round
+t <= T0 is this rule at eps_t = 1/2 with the round-robin arm as greedy, the
+uniform forced design.  Only the pulled arm's estimators change in a
 round; every arm's index is normalized by the policy's round clock ``t``.
 Every round's record carries enough to rebuild each arm's propensity at
 every round: the greedy arm, the realized arm, its propensity and eps_t.
@@ -28,14 +28,13 @@ REFIT_EVERY_ROUND_BELOW = 200
 REFIT_INTERVAL = 10
 
 
-def propensity(arm, greedy, eps, t, warm_start: int, n_arms: int):
-    """Assignment probability of ``arm`` in round ``t`` (the rule in the
-    module docstring); elementwise, for one round or arrays of rounds."""
+def propensity(arm, greedy, eps):
+    """Assignment probability of ``arm`` in a round with greedy arm ``greedy``
+    and rate ``eps`` (module docstring); elementwise over arrays of rounds."""
     # 0/1 indicator weights pick exactly (the other term is 0.0) and, unlike
     # np.where, cost only float arithmetic on one round's scalars
-    is_greedy, warm = arm == greedy, t <= warm_start
-    p = is_greedy * (1.0 - eps) + (1 - is_greedy) * (eps / (n_arms - 1))
-    return warm * (1.0 / n_arms) + (1 - warm) * p
+    is_greedy = arm == greedy
+    return is_greedy * (1.0 - eps) + (1 - is_greedy) * eps
 
 
 @dataclass
@@ -126,7 +125,7 @@ class EpsilonGreedyPolicy:
             best = arm = self.greedy_arm(x)
             if self.rng.uniform() >= 1.0 - eps:   # explore: the other arm
                 arm = 1 - best
-        return arm, propensity(arm, best, eps, t_next, warm_start, n_arms), best, eps
+        return arm, propensity(arm, best, eps), best, eps
 
     # -- estimator updates --------------------------------------------------
 

@@ -776,6 +776,17 @@ class TestRealdata:
         assert code != 0
         capsys.readouterr()
 
+    def test_label_as_feature_refused(self, tmp_path, capsys):
+        path = tmp_path / "leak.csv"
+        path.write_text("a,y\n1.0,0\n2.0,1\n", encoding="utf-8")
+        code = main(["realdata", "--csv", str(path), "--label-col", "y",
+                     "--feature-cols", "a,y", "--perms", "1",
+                     "--out", str(tmp_path / "rd")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: label column 'y' is also in feature_columns\n")
+        assert not (tmp_path / "rd").exists()
+
     def test_class_name_labels_refused_with_remedy(self, tmp_path, capsys):
         """Class names such as the Rice dataset's are refused with what the
         column must hold; the CLI has no label map."""

@@ -174,6 +174,19 @@ class TestLoadCsv:
         assert table.feature_names == ["a", "b"]
         np.testing.assert_array_equal(table.features, [[1.0, 2.0], [3.0, 4.0]])
 
+    # each was accepted, and in the first two the label became a feature
+    @pytest.mark.parametrize("header, features, message", [
+        ("a,y", ["a", "y"], "label column 'y' is also in feature_columns"),
+        ("a,y,y", None, r"column 'y' named twice in header \['a', 'y', 'y'\]"),
+        ("a,y", ["a", "a"], r"column 'a' named twice in feature_columns \['a', 'a'\]")])
+    def test_label_leakage_refused(self, tmp_path, header, features, message):
+        path = tmp_path / "leak.csv"
+        cells = header.count(",")
+        path.write_text(header + "\n" + "1.0" + ",0" * cells + "\n"
+                        + "2.0" + ",1" * cells + "\n", encoding="utf-8")
+        with pytest.raises(LoadError, match=f"^{message}$"):
+            load_csv(str(path), "y", features)
+
     def test_default_features_are_all_others(self, toy_csv):
         table = load_csv(toy_csv, "label")
         assert table.features.shape[1] == 3

@@ -193,11 +193,26 @@ class TestTrajectoryLog:
         sc = Scenario(**TINY)
         log, _, _, _ = run_trajectory(sc, 1)
         for arm in (0, 1):
-            props = log.arm_propensities(arm, sc.T, sc.T0, 2)
+            props = log.arm_propensities(arm, sc.T)
             pulled = log.arm == arm
             # exact: inference takes its weights from this rule alone
             assert np.array_equal(props[pulled], log.propensity[pulled])
             assert np.array_equal(props[:sc.T0], np.full(sc.T0, 0.5))
+
+    @pytest.mark.parametrize("score", ["known", "empirical"])
+    def test_arm_propensities_match_the_warm_start_branch_rule(self, score):
+        """Reading the warm start's eps = 1/2 from the log gives every bit
+        the rule with a separate warm-start branch and an L-arm divisor gave."""
+        sc = Scenario(**{**TINY, "score": score})
+        log, _, _, _ = run_trajectory(sc, 0)
+        for t in sc.inference_times:
+            s, greedy, eps = np.arange(1, t + 1), log.greedy[:t], log.epsilon[:t]
+            warm, L = s <= sc.T0, sc.n_arms
+            for arm in (0, 1):
+                is_greedy = arm == greedy
+                p = is_greedy * (1.0 - eps) + (1 - is_greedy) * (eps / (L - 1))
+                want = warm * (1.0 / L) + (1 - warm) * p
+                assert np.array_equal(log.arm_propensities(arm, t), want)
 
     @pytest.mark.parametrize("score", ["known", "empirical"])
     def test_policy_log_agrees_with_its_rule(self, score):
@@ -596,6 +611,34 @@ class TestParallel:
         sc = Scenario(**{**TINY, "reps": 2})
         assert all(r.ok for r in run_scenario(sc, threads=2))
         assert capsys.readouterr().err.count("no OpenBLAS found") == 1
+
+    @pytest.mark.parametrize("threads, reps, workers", [(5000, 2, 2), (2, 3, 2)])
+    def test_pool_has_at_most_one_worker_per_replication(self, monkeypatch, threads,
+                                                         reps, workers):
+        """Under fork the pool starts every worker at once, so a large
+        ``threads`` would fork that many processes; a serial stand-in for the
+        pool records the count asked for and starts none."""
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness, "run_replication",
+                            lambda scenario, rep, keep: RunRecord(rep))
+        records = run_scenario(Scenario(**{**TINY, "reps": reps}), threads=threads)
+        assert asked == [workers]
+        assert [r.rep for r in records] == list(range(reps))
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_keeps_only_the_logs_asked_for(self, threads):

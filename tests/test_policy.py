@@ -102,10 +102,11 @@ class TestSelectionLaw:
         env = SyntheticEnv(sample_canonical_betas(2, 2, Rng(5)), 0.05, Rng(2))
         recs = run_rounds(policy, env, 300)
         for rec in recs:
-            again = policy_module.propensity(rec.arm, rec.greedy_arm,
-                                             rec.epsilon, rec.t, 6, 2)
+            again = policy_module.propensity(rec.arm, rec.greedy_arm, rec.epsilon)
             assert rec.propensity == again
-            if rec.t > 6:
+            if rec.t <= 6:   # the warm start: eps = 1/2 gives either arm 1/2
+                assert (rec.epsilon, rec.propensity) == (0.5, 0.5)
+            else:
                 expect = 1 - rec.epsilon if rec.arm == rec.greedy_arm \
                     else rec.epsilon
                 assert rec.propensity == pytest.approx(expect)
@@ -126,9 +127,12 @@ class TestSelectionLaw:
 
     def test_explicit_probabilities(self):
         propensity = policy_module.propensity
-        assert propensity(1, 1, 0.15, 100, 10, 2) == pytest.approx(0.85)
-        assert propensity(0, 1, 0.15, 100, 10, 2) == pytest.approx(0.15)
-        assert propensity(2, 0, 0.3, 100, 10, 4) == pytest.approx(0.1)
+        assert propensity(1, 1, 0.15) == pytest.approx(0.85)
+        assert propensity(0, 1, 0.15) == pytest.approx(0.15)
+        # a warm-start round: eps = 1/2, so 1 - eps = eps exactly
+        for arm in (0, 1):
+            for greedy in (0, 1):
+                assert propensity(arm, greedy, 0.5) == 0.5
 
     def test_greedy_undefined_during_warm_start(self):
         policy = make_policy(T0=10)

@@ -20,7 +20,7 @@ def test_known_score_is_the_context():
     log, _, _, _ = run_trajectory(sc, 0)
     for t in sc.inference_times:
         for arm in (0, 1):
-            props = log.arm_propensities(arm, t, sc.T0, sc.n_arms)
+            props = log.arm_propensities(arm, t)
             want = estimate_from_arrays(log.contexts[:t], log.reward[:t],
                                         log.arm[:t] == arm, props,
                                         sc.lambda_beta, sc.p_min)
