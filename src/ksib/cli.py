@@ -108,12 +108,16 @@ def cmd_simulate(args) -> int:
 def cmd_realdata(args) -> int:
     if args.perms < 1:
         raise ConfigError("--perms must be >= 1")
+    if args.feature_cols == "":   # refused, not read as every non-label column
+        raise ConfigError("--feature-cols names no column; leave it out to use all")
     table = load_csv(args.csv, args.label_col,
                      args.feature_cols.split(",") if args.feature_cols else None)
     times = tuple(t for t in REALDATA_INFERENCE_TIMES if args.T0 < t <= args.T)
     scenario = _scenario_from_args(args, d=table.features.shape[1], sigma=0.0,
                                    reps=args.perms, inference_times=times,
                                    score="empirical")
+    if (rows := table.features.shape[0]) < args.T:   # refused before --out is made
+        raise ConfigError(f"--T must be at most the {rows} rows of {args.csv}, got {args.T}")
     os.makedirs(args.out, exist_ok=True)
     master = Rng(args.seed)
     summary_rows = []

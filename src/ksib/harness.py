@@ -200,14 +200,14 @@ class TrajectoryLog:
     def check_against(self, scenario: Scenario) -> None:
         """Refuse the first cell that ``scenario``'s allocation rule
         contradicts: a round past ``T`` or a log that ends before it, a
-        warm-start (t <= T0) arm other than round-robin's ``(t - 1) % L``,
-        an ``epsilon`` other than ``1/L`` (t <= T0) or ``scenario.epsilon(t)``,
+        warm-start (t <= T0) arm other than round-robin's ``(t - 1) % 2``,
+        an ``epsilon`` other than ``1/2`` (t <= T0) or ``scenario.epsilon(t)``,
         a ``propensity`` other than the rule's.  Exact: the policy wrote
         them with these functions, and a written float reads back as is."""
-        n, T, T0, L = self.rounds, scenario.T, scenario.T0, scenario.n_arms
+        n, T, T0 = self.rounds, scenario.T, scenario.T0
         t = np.arange(1, n + 1)
-        warm, turn = t <= T0, (t - 1) % L
-        eps = np.array([1.0 / L if s <= T0 else scenario.epsilon(s)
+        warm, turn = t <= T0, (t - 1) % 2
+        eps = np.array([0.5 if s <= T0 else scenario.epsilon(s)
                         for s in range(1, n + 1)])
         rule = propensity(self.arm, self.greedy, eps)
         # a line's checked cells in column order
@@ -320,14 +320,14 @@ def inference_snapshot(log: TrajectoryLog, t: int, arm: int,
     if t > log.rounds:
         raise DomainError(f"inference time {t} beyond logged rounds {log.rounds}")
     x = log.contexts[:t]
-    whitened = None if scenario.score == "known" else EmpiricalWhiteningScore.whiten_batch(x)
     pulled = np.flatnonzero(log.arm[:t] == arm)
     if not pulled.size:
         raise DegeneracyError(f"arm {arm} never pulled in first {t} rounds")
-    # a known score is the context itself; one gather of the pulled rounds
-    # serves every step; the rule, not the log's copy, gives weights and r-tilde
+    # one gather of the pulled rounds serves every step, whitened by all t rounds'
+    # moments for an empirical score; the rule, not the log's copy, gives weights
     contexts, rewards = x.take(pulled, axis=0), log.reward.take(pulled)
-    feats = contexts if whitened is None else whitened.take(pulled, axis=0)
+    feats = (contexts if scenario.score == "known"
+             else EmpiricalWhiteningScore.from_batch(x).score(contexts))
     props = log.arm_propensities(arm, t)
     weights = ipw_weights(props.take(pulled), scenario.p_min)
     est = estimate_pulled(feats, rewards, weights, t, scenario.lambda_beta)

@@ -116,10 +116,9 @@ class EpsilonGreedyPolicy:
     def select(self, x):
         """Sample the arm for the next round; returns (arm, propensity, greedy, eps)."""
         t_next = self.t + 1
-        n_arms, warm_start = self.config.n_arms, self.config.T0
-        if t_next <= warm_start:
-            arm = best = (t_next - 1) % n_arms
-            eps = 1.0 / n_arms
+        if t_next <= self.config.T0:   # round-robin: the rule at eps = 1/2
+            arm = best = (t_next - 1) % 2
+            eps = 0.5
         else:
             eps = self.config.epsilon(t_next)
             best = arm = self.greedy_arm(x)
@@ -156,7 +155,7 @@ class EpsilonGreedyPolicy:
             whitening.update(x)
             # whitening is undefined before its second update; the one cold
             # round's feature is x - mean, the zero vector (inference
-            # re-scores the whole history later anyway)
+            # re-scores each round later by the whole history's moments)
             w_feat = (x - whitening.mean if whitening.count < 2
                       else whitening.score(x))
         self.t += 1

@@ -3,7 +3,7 @@
 A score model turns a raw context ``x`` into the feature ``w = S(x)`` used
 by the moment estimator.  Standard normal contexts are their own score, so
 they need no model; contexts of unknown law are whitened by their mean and
-covariance, one round at a time or over a whole history at once.
+covariance, streamed one round at a time or built from a whole history.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ class EmpiricalWhiteningScore:
 
     Mean and covariance are maintained with Welford updates, so a long
     stream never loses precision to catastrophic cancellation;
-    :meth:`whiten_batch` whitens a whole history from its batch moments.
+    :meth:`from_batch` builds the state of a whole history at once.
     ``ridge`` is ``1e-8 * trace(Cov)/dim`` at score time, which keeps the
     solve well-posed when the dimension approaches the early sample count.
     """
@@ -33,10 +33,9 @@ class EmpiricalWhiteningScore:
         self._m2 = np.zeros((dim, dim))
 
     @classmethod
-    def whiten_batch(cls, xs) -> np.ndarray:
-        """The score of each row of ``xs`` under the state that ``update``
-        over those rows reaches, built from the batch count, mean and
-        centered cross-product, centring ``xs`` once."""
+    def from_batch(cls, xs) -> "EmpiricalWhiteningScore":
+        """The state that ``update`` over the rows of ``xs`` reaches, built
+        from their batch count, mean and centered cross-product."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2:
             raise DomainError(f"expected a 2-d batch of contexts, got shape {xs.shape}")
@@ -45,7 +44,7 @@ class EmpiricalWhiteningScore:
         model.mean = xs.mean(axis=0)
         centered = xs - model.mean
         model._m2 = centered.T @ centered
-        return model._whiten(centered)
+        return model
 
     def update(self, x) -> None:
         x = np.asarray(x, dtype=float)
@@ -62,13 +61,11 @@ class EmpiricalWhiteningScore:
             raise StateError("covariance undefined with fewer than 2 observations")
         return self._m2 / (self.count - 1)
 
-    def score(self, x):
-        return self._whiten(np.asarray(x, dtype=float) - self.mean)
-
-    def _whiten(self, centered):
+    def score(self, x):   # one context, or each row of a batch
         cov = self.covariance
         ridge = 1e-8 * float(np.trace(cov)) / self.dim
         if ridge == 0.0 and min_eigenvalue(cov) <= 0.0:
             raise SingularityError("whitening covariance singular: the "
                                    "contexts do not vary", min_eigenvalue(cov))
+        centered = np.asarray(x, dtype=float) - self.mean
         return solve_spd(cov + ridge * np.eye(self.dim), centered.T).T

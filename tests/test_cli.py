@@ -729,7 +729,9 @@ class TestRealdata:
     @pytest.mark.parametrize("flags,message", [
         (["--perms", "0"], "--perms must be >= 1"),
         (["--T", "0"], "need 0 < T0 < T"),
-        (["--T0", "250", "--T", "240"], "need 0 < T0 < T")])
+        (["--T0", "250", "--T", "240"], "need 0 < T0 < T"),
+        ([], "--T must be at most the 300 rows of "),   # the default T=1000
+        (["--T", "250", "--feature-cols", ""], "--feature-cols names no column")])
     def test_invalid_run_rejected(self, tmp_path, capsys, flags, message):
         csv_path = two_cluster_csv(tmp_path / "clusters.csv", n=300)
         out = tmp_path / "rd"

@@ -11,17 +11,22 @@ from ksib.index_estimation import estimate_from_arrays
 from ksib.score_features import EmpiricalWhiteningScore
 
 
-def test_known_score_is_the_context():
-    """A "known" snapshot's index estimate is the one-shot estimate on the
-    raw contexts, with the allocation rule's propensities."""
+@pytest.mark.parametrize("score", ["known", "empirical"])
+def test_known_score_is_the_context(score):
+    """A snapshot's index estimate is the one-shot estimate, with the
+    allocation rule's propensities, on the raw contexts for a "known" score
+    and on the whole history's whitening for an "empirical" one: scoring
+    only the pulled rounds moves no bit."""
     sc = Scenario(T=140, T0=20, reps=1, inference_times=(60, 100, 139),
-                  d=3, sigma=0.05, seed=3)
-    assert sc.score == "known"
+                  d=3, sigma=0.05, seed=3, score=score)
     log, _, _, _ = run_trajectory(sc, 0)
     for t in sc.inference_times:
+        feats = log.contexts[:t]
+        if score == "empirical":
+            feats = ridged_whitening(*batch_moments(feats), feats)
         for arm in (0, 1):
             props = log.arm_propensities(arm, t)
-            want = estimate_from_arrays(log.contexts[:t], log.reward[:t],
+            want = estimate_from_arrays(feats, log.reward[:t],
                                         log.arm[:t] == arm, props,
                                         sc.lambda_beta, sc.p_min)
             got = inference_snapshot(log, t, arm, sc).estimate
@@ -35,6 +40,13 @@ def ridged_whitening(cov, mean, x):
     ridge = 1e-8 * float(np.trace(cov)) / d
     factor = cho_factor(0.5 * (cov + cov.T) + ridge * np.eye(d), lower=True)
     return cho_solve(factor, (x - mean).T).T
+
+
+def batch_moments(xs):
+    """The covariance and mean of a batch, as ``from_batch`` builds them."""
+    mean = xs.mean(axis=0)
+    centered = xs - mean
+    return (centered.T @ centered) / (len(xs) - 1), mean
 
 
 def assert_same_bits(a, b):
@@ -75,7 +87,7 @@ class TestEmpiricalWhitening:
             np.testing.assert_allclose(model.covariance,
                                        np.cov(xs.T).reshape(d, d), atol=1e-12)
 
-    def test_whiten_batch_matches_update_loop(self):
+    def test_from_batch_matches_update_loop(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             n = int(rng.integers(2, 300))
@@ -84,12 +96,12 @@ class TestEmpiricalWhitening:
             streamed = EmpiricalWhiteningScore(d)
             for x in xs:
                 streamed.update(x)
-            np.testing.assert_allclose(EmpiricalWhiteningScore.whiten_batch(xs),
+            np.testing.assert_allclose(EmpiricalWhiteningScore.from_batch(xs).score(xs),
                                        streamed.score(xs), rtol=0, atol=1e-10)
 
-    def test_whiten_batch_rejects_bad_shape(self):
+    def test_from_batch_rejects_bad_shape(self):
         with pytest.raises(DomainError):
-            EmpiricalWhiteningScore.whiten_batch(np.zeros(3))
+            EmpiricalWhiteningScore.from_batch(np.zeros(3))
 
     def test_streamed_score_is_the_ridged_solve(self):
         """Bit for bit the solve of the symmetrized covariance plus its
@@ -108,16 +120,18 @@ class TestEmpiricalWhitening:
                                      ridged_whitening(cov, model.mean, x))
         assert asymmetric > scored / 2
 
-    def test_whiten_batch_is_the_ridged_solve(self):
+    def test_from_batch_is_the_ridged_solve(self):
+        """Bit for bit the solve of the batch covariance plus its ridge, on
+        every row and on a row subset, as snapshots score their arm's rows."""
         rng = np.random.default_rng(6)
         for d in (1, 2, 3, 4, 5, 5):
             for n in (d + 1, 40, 399):
                 xs = rng.normal(loc=rng.normal(size=d), size=(n, d))
-                mean = xs.mean(axis=0)
-                centered = xs - mean
-                cov = (centered.T @ centered) / (n - 1)
-                assert_same_bits(EmpiricalWhiteningScore.whiten_batch(xs),
-                                 ridged_whitening(cov, mean, xs))
+                cov, mean = batch_moments(xs)
+                model = EmpiricalWhiteningScore.from_batch(xs)
+                rows = np.flatnonzero(rng.uniform(size=n) < 0.5)
+                for sub in (xs, xs[rows]):
+                    assert_same_bits(model.score(sub), ridged_whitening(cov, mean, sub))
 
     def test_rejects_bad_shape(self):
         model = EmpiricalWhiteningScore(2)
